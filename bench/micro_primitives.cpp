@@ -199,7 +199,7 @@ void BM_ReadIndicateBravoSlotStore(benchmark::State &State) {
   // release store that retires the indication.
   int LockStandIn = 0;
   BravoReaderTable::Slot &S =
-      BravoReaderTable::instance().slotFor(&LockStandIn);
+      BravoReaderTable::instance().slotFor(&LockStandIn).Published;
   for (auto _ : State) {
     S.store(&LockStandIn, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);

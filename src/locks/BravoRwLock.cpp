@@ -33,15 +33,17 @@ BravoReaderTable::BravoReaderTable()
     HighWater[P].store(0, std::memory_order_relaxed);
 }
 
-BravoReaderTable::Slot &BravoReaderTable::slotFor(const void *Lock) {
+BravoReaderTable::ThreadSlot BravoReaderTable::slotFor(const void *Lock) {
   // The group is pinned per thread on first publication: one cache line in
   // the current NUMA node's partition, at the thread's registry slot. The
   // cache holds for the thread's lifetime (registry slots never change
   // while a thread lives), so steady-state cost is a TLS load plus the
-  // lock-address mix.
+  // lock-address mix. Holds[I] counts the nested biased holds of whichever
+  // lock Slots[I] currently publishes.
   struct GroupRef {
     Group *G = nullptr;
     uint64_t ThreadMix = 0;
+    uint32_t Holds[SlotsPerGroup] = {};
   };
   static thread_local GroupRef Ref;
   if (!Ref.G) {
@@ -65,7 +67,8 @@ BravoReaderTable::Slot &BravoReaderTable::slotFor(const void *Lock) {
       (static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Lock)) >> 4) *
           0x9E3779B97F4A7C15ull ^
       Ref.ThreadMix;
-  return Ref.G->Slots[(H >> 32) & (SlotsPerGroup - 1)];
+  std::size_t I = (H >> 32) & (SlotsPerGroup - 1);
+  return {Ref.G->Slots[I], Ref.Holds[I]};
 }
 
 uint64_t BravoReaderTable::waitForReadersOf(const void *Lock) const {
@@ -102,8 +105,7 @@ uint64_t BravoReaderTable::countReadersOf(const void *Lock) const {
 // --- BravoRwLock -----------------------------------------------------------
 
 BravoRwLock::BravoRwLock(RuntimeContext &Ctx, BravoConfig Config)
-    : Config(Config), Underlying(Ctx),
-      FastHolds(new uint32_t[ThreadRegistry::MaxThreads]()) {}
+    : Config(Config), Underlying(Ctx) {}
 
 int64_t BravoRwLock::nowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -112,31 +114,34 @@ int64_t BravoRwLock::nowNs() {
 }
 
 void BravoRwLock::readLock() {
-  ThreadState &TS = ThreadRegistry::current();
-  uint32_t &Fast = FastHolds[TS.slot()];
-  if (Fast > 0) {
-    // Reentrant under an existing biased hold: the published slot already
-    // keeps writers out; no second publication needed.
-    ++Fast;
-    return;
-  }
-  if (Config.BiasEnabled && RBias.load(std::memory_order_acquire)) {
-    BravoReaderTable::Slot &S = BravoReaderTable::instance().slotFor(this);
-    // Occupied means this thread already advertises a *different* lock
-    // that collides in its group — that lock's hold, not ours.
-    if (S.load(std::memory_order_relaxed) == nullptr) {
-      S.store(this, std::memory_order_relaxed);
-      ++TS.Counters.LockWordStores;
+  // Without bias no hold is ever published, so the slot need not be looked
+  // up at all.
+  if (Config.BiasEnabled) {
+    BravoReaderTable::ThreadSlot S = BravoReaderTable::instance().slotFor(this);
+    const void *Published = S.Published.load(std::memory_order_relaxed);
+    if (Published == this) {
+      // Reentrant under an existing biased hold: the published slot already
+      // keeps writers out; no second publication needed. Checked before
+      // RBias, which a watchdog may have cleared under our hold.
+      ++S.Holds;
+      return;
+    }
+    // Occupied by another lock means this thread already advertises a
+    // *different* lock that collides in its group — that lock's hold, not
+    // ours — so this one takes the underlying path.
+    if (Published == nullptr && RBias.load(std::memory_order_acquire)) {
+      S.Published.store(this, std::memory_order_relaxed);
+      ++ThreadRegistry::current().Counters.LockWordStores;
       // Dekker against revokeBias(): our publication must be ordered
       // before the bias recheck, the writer's bias clear before its table
       // scan. Either the writer sees the slot or we see the cleared bias.
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (RBias.load(std::memory_order_acquire)) {
-        Fast = 1;
+        S.Holds = 1;
         return;
       }
       // A revocation raced in: withdraw and queue on the underlying lock.
-      S.store(nullptr, std::memory_order_release);
+      S.Published.store(nullptr, std::memory_order_release);
     }
   }
   Underlying.readLock();
@@ -144,19 +149,20 @@ void BravoRwLock::readLock() {
 }
 
 void BravoRwLock::readUnlock() {
-  ThreadState &TS = ThreadRegistry::current();
-  uint32_t &Fast = FastHolds[TS.slot()];
-  if (Fast > 0) {
-    if (--Fast == 0) {
-      BravoReaderTable::Slot &S = BravoReaderTable::instance().slotFor(this);
-      SOLERO_CHECK(S.load(std::memory_order_relaxed) == this,
-                   "biased read hold without a matching table publication");
-      // Release: the critical section's reads must be ordered before a
-      // revoking writer (which acquire-loads the slot) can proceed.
-      S.store(nullptr, std::memory_order_release);
-      ++TS.Counters.LockWordStores;
+  if (Config.BiasEnabled) {
+    BravoReaderTable::ThreadSlot S = BravoReaderTable::instance().slotFor(this);
+    // Our slot publishing this lock *is* the biased hold; any other value
+    // means the hold being released came from the underlying lock.
+    if (S.Published.load(std::memory_order_relaxed) == this) {
+      SOLERO_CHECK(S.Holds > 0, "publication without a biased hold");
+      if (--S.Holds == 0) {
+        // Release: the critical section's reads must be ordered before a
+        // revoking writer (which acquire-loads the slot) can proceed.
+        S.Published.store(nullptr, std::memory_order_release);
+        ++ThreadRegistry::current().Counters.LockWordStores;
+      }
+      return;
     }
-    return;
   }
   Underlying.readUnlock();
 }

@@ -76,10 +76,19 @@ public:
 
   static BravoReaderTable &instance();
 
-  /// The calling thread's slot for \p Lock (always a valid pointer; the
-  /// caller checks occupancy). First call from a thread pins its group to
-  /// the current NUMA node's partition.
-  Slot &slotFor(const void *Lock);
+  /// A thread's slot for one lock, plus the nesting count of the biased
+  /// hold the slot publishes. The count lives in thread-local storage
+  /// beside the cached group pointer: only the slot is read by revoking
+  /// writers, and nothing here is written by any other thread.
+  struct ThreadSlot {
+    Slot &Published;
+    uint32_t &Holds;
+  };
+
+  /// The calling thread's slot for \p Lock (the caller checks occupancy;
+  /// Holds is meaningful only while Published == Lock). First call from a
+  /// thread pins its group to the current NUMA node's partition.
+  ThreadSlot slotFor(const void *Lock);
 
   /// Spin-waits until no slot still advertises \p Lock (writer-side
   /// revocation scan). Returns the number of slots that had to drain.
@@ -204,10 +213,6 @@ private:
   /// steady_clock ns deadline before which bias must not be re-enabled.
   std::atomic<int64_t> InhibitUntil{0};
   std::atomic<uint64_t> Revocations{0};
-  /// Per-thread count of read holds taken through the biased fast path
-  /// (indexed by registry slot, like ReadWriteLock::ReadHolds). Nonzero
-  /// means this thread's table slot advertises this lock.
-  std::unique_ptr<uint32_t[]> FastHolds;
 };
 
 } // namespace solero

@@ -11,8 +11,7 @@
 
 using namespace solero;
 
-ReadWriteLock::ReadWriteLock(RuntimeContext &Ctx)
-    : Ctx(Ctx), ReadHolds(new uint32_t[ThreadRegistry::MaxThreads]()) {}
+ReadWriteLock::ReadWriteLock(RuntimeContext &Ctx) : Ctx(Ctx) {}
 
 uint64_t ReadWriteLock::selfOwner() const {
   return static_cast<uint64_t>(ThreadRegistry::current().slot()) + 1;
@@ -21,11 +20,11 @@ uint64_t ReadWriteLock::selfOwner() const {
 void ReadWriteLock::readLock() {
   ThreadState &TS = ThreadRegistry::current();
   uint64_t Self = selfOwner();
-  uint32_t &Holds = ReadHolds[TS.slot()];
+  // Only this thread changes its own holds, so this stays true for the loop.
+  bool Reentrant = TS.readHoldsOn(this) > 0;
   for (int Spin = 0;; ++Spin) {
     uint64_t S = State.load(std::memory_order_relaxed);
     bool OwnWrite = ownerOf(S) == Self;
-    bool Reentrant = Holds > 0;
     bool WriterBlocked = ownerOf(S) != 0 && !OwnWrite;
     bool WriterGate = WaitingWriters.load(std::memory_order_relaxed) != 0 &&
                       !OwnWrite && !Reentrant;
@@ -36,7 +35,7 @@ void ReadWriteLock::readLock() {
       ++TS.Counters.AtomicRmws;
       if (State.compare_exchange_weak(S, S + 1, std::memory_order_acquire,
                                       std::memory_order_relaxed)) {
-        ++Holds;
+        TS.addReadHold(this);
         return;
       }
       continue;
@@ -54,9 +53,8 @@ void ReadWriteLock::readLock() {
 
 void ReadWriteLock::readUnlock() {
   ThreadState &TS = ThreadRegistry::current();
-  uint32_t &Holds = ReadHolds[TS.slot()];
-  SOLERO_CHECK(Holds > 0, "readUnlock without a read hold");
-  --Holds;
+  bool Held = TS.dropReadHold(this);
+  SOLERO_CHECK(Held, "readUnlock without a read hold");
   ++TS.Counters.AtomicRmws;
   uint64_t Prev = State.fetch_sub(1, std::memory_order_release);
   SOLERO_CHECK(readersOf(Prev) != 0,

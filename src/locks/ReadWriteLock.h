@@ -24,7 +24,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 
 #include "runtime/ReadGuard.h"
@@ -52,6 +51,10 @@ public:
   bool writeHeldByCurrentThread() const;
   /// Number of read holds across all threads.
   uint32_t readerCount() const;
+  /// Writers announced and waiting for the lock (tests/stats; racy).
+  uint32_t waitingWriters() const {
+    return WaitingWriters.load(std::memory_order_relaxed);
+  }
 
   template <typename Fn> decltype(auto) synchronizedWrite(Fn &&F) {
     ThreadState &TS = ThreadRegistry::current();
@@ -93,11 +96,9 @@ private:
   std::condition_variable ReadersCv;
   std::condition_variable WritersCv;
 
-  // Per-thread read-hold counts (indexed by ThreadState slot); lets
-  // reentrant readers bypass the writer-preference gate. Sized from
-  // ThreadRegistry::MaxThreads, which the registry enforces at
-  // registration, so slot() can never index past the array.
-  std::unique_ptr<uint32_t[]> ReadHolds;
+  // Which threads hold read, and how often, is kept per thread
+  // (ThreadState::readHoldsOn): it lets reentrant readers bypass the
+  // writer-preference gate without a per-lock table every reader writes.
 };
 
 } // namespace solero

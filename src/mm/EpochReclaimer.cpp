@@ -44,17 +44,13 @@ bool asymmetricPinsEnabled() {
 
 } // namespace
 
-EpochReclaimer::EpochReclaimer()
-    : Asymmetric(asymmetricPinsEnabled()), Slots(MaxThreads),
-      Depth(MaxThreads) {}
+EpochReclaimer::EpochReclaimer() : Asymmetric(asymmetricPinsEnabled()) {}
 
 EpochReclaimer::~EpochReclaimer() { drainAll(); }
 
 void EpochReclaimer::enter() {
-  ThreadState &TS = ThreadRegistry::current();
-  SOLERO_CHECK(TS.slot() < MaxThreads, "thread slot exceeds reclaimer limit");
-  uint32_t &D = *Depth[TS.slot()];
-  if (D++ != 0)
+  PinCell &P = Pins.mine();
+  if (P.Depth++ != 0)
     return; // reentrant pin
   uint64_t E = GlobalEpoch.load(std::memory_order_relaxed);
   if (Asymmetric) {
@@ -62,22 +58,21 @@ void EpochReclaimer::enter() {
     // thread's subsequent pointer loads is supplied by the reclaimer's
     // membarrier before it scans reservations (asymmetric fence; the role
     // the JVM's GC safepoint protocol plays in the paper's runtime).
-    Slots[TS.slot()]->store(E | ActiveBit, std::memory_order_release);
+    P.Reservation.store(E | ActiveBit, std::memory_order_release);
     std::atomic_signal_fence(std::memory_order_seq_cst);
     return;
   }
   // Portable fallback: the reservation must be globally visible before
   // this thread reads any pointer out of the protected structure.
-  Slots[TS.slot()]->store(E | ActiveBit, std::memory_order_seq_cst);
+  P.Reservation.store(E | ActiveBit, std::memory_order_seq_cst);
 }
 
 void EpochReclaimer::exit() {
-  ThreadState &TS = ThreadRegistry::current();
-  uint32_t &D = *Depth[TS.slot()];
-  SOLERO_CHECK(D > 0, "EpochReclaimer::exit without matching enter");
-  if (--D != 0)
+  PinCell &P = Pins.mine();
+  SOLERO_CHECK(P.Depth > 0, "EpochReclaimer::exit without matching enter");
+  if (--P.Depth != 0)
     return;
-  Slots[TS.slot()]->store(0, std::memory_order_release);
+  P.Reservation.store(0, std::memory_order_release);
 }
 
 void EpochReclaimer::retire(void *Obj, void (*Deleter)(void *, void *),
@@ -100,8 +95,11 @@ void EpochReclaimer::tryAdvanceLocked() {
   if (Asymmetric && !heavyBarrier())
     return; // cannot order against relaxed pins right now; try later
   uint64_t Cur = GlobalEpoch.load(std::memory_order_acquire);
-  for (const auto &Slot : Slots) {
-    uint64_t V = Slot->load(std::memory_order_acquire);
+  // Only slots some thread has registered under can hold a reservation. A
+  // thread registering after this bound was read pins after it too, which
+  // is no different from pinning just after its slot was scanned.
+  for (uint32_t S = 0, N = Pins.usedSlots(); S < N; ++S) {
+    uint64_t V = Pins[S].Reservation.load(std::memory_order_acquire);
     if ((V & ActiveBit) != 0 && (V & ~ActiveBit) != Cur)
       return; // a pinned thread lags; cannot advance yet
   }
@@ -115,9 +113,10 @@ void EpochReclaimer::tryAdvanceLocked() {
 }
 
 void EpochReclaimer::drainAll() {
-  for (const auto &Slot : Slots)
-    SOLERO_CHECK((Slot->load(std::memory_order_acquire) & ActiveBit) == 0,
-                 "drainAll with a pinned thread");
+  for (uint32_t S = 0, N = Pins.usedSlots(); S < N; ++S)
+    SOLERO_CHECK(
+        (Pins[S].Reservation.load(std::memory_order_acquire) & ActiveBit) == 0,
+        "drainAll with a pinned thread");
   std::lock_guard<std::mutex> G(LimboMu);
   for (auto &Bucket : Limbo) {
     std::vector<Retired> Batch;

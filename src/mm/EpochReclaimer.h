@@ -22,18 +22,14 @@
 #include <mutex>
 #include <vector>
 
-#include "runtime/ThreadRegistry.h"
+#include "runtime/PerThreadSlots.h"
 #include "support/Assert.h"
-#include "support/CacheLine.h"
 
 namespace solero {
 
 /// Deferred-reclamation domain. Create one per data structure (or share).
 class EpochReclaimer {
 public:
-  /// Upper bound on ThreadRegistry slots this domain can track.
-  static constexpr std::size_t MaxThreads = 512;
-
   EpochReclaimer();
   ~EpochReclaimer();
 
@@ -94,12 +90,18 @@ private:
   void tryAdvanceLocked();
   void freeBatch(std::vector<Retired> &Batch);
 
+  /// One thread's pin state: the owner writes both fields, the collector
+  /// reads only Reservation.
+  struct PinCell {
+    /// 0 = not pinned, else (epoch | ActiveBit).
+    std::atomic<uint64_t> Reservation{0};
+    /// Pin nesting depth (owner thread only).
+    uint32_t Depth = 0;
+  };
+
   const bool Asymmetric;
   std::atomic<uint64_t> GlobalEpoch{2}; // even, never 0; low bit = active flag
-  // Per-thread reservation: 0 = not pinned, else (epoch | ActiveBit).
-  std::vector<CacheLinePadded<std::atomic<uint64_t>>> Slots;
-  // Per-thread pin nesting depth (owner thread only).
-  std::vector<CacheLinePadded<uint32_t>> Depth;
+  PerThreadSlots<PinCell> Pins;
 
   std::mutex LimboMu;
   std::vector<Retired> Limbo[3]; // indexed by (epoch/2) % 3

@@ -55,9 +55,7 @@ std::string ResilienceDiagnostic::render() const {
   return Out;
 }
 
-SpeculationWatchdog::SpeculationWatchdog(WatchdogConfig Cfg)
-    : Cfg(Cfg), Ops(new OpCell[ThreadRegistry::MaxThreads]),
-      Reported(new uint64_t[ThreadRegistry::MaxThreads]()) {}
+SpeculationWatchdog::SpeculationWatchdog(WatchdogConfig Cfg) : Cfg(Cfg) {}
 
 SpeculationWatchdog::~SpeculationWatchdog() { stop(); }
 
@@ -104,12 +102,13 @@ void SpeculationWatchdog::pollOnce(uint64_t NowNs) {
   // distinct start timestamp (a section stuck across many polls is one
   // pathology, not one per poll).
   for (uint32_t S = 0; S < ThreadRegistry::MaxThreads; ++S) {
-    uint64_t Start = Ops[S].StartNs.load(std::memory_order_relaxed);
+    OpCell &Op = Ops[S];
+    uint64_t Start = Op.StartNs.load(std::memory_order_relaxed);
     if (Start == 0 || NowNs <= Start || NowNs - Start < Cfg.StallBoundNs)
       continue;
-    if (Reported[S] == Start)
+    if (Op.Reported == Start)
       continue;
-    Reported[S] = Start;
+    Op.Reported = Start;
     Stalls.fetch_add(1, std::memory_order_relaxed);
     ResilienceDiagnostic D;
     D.Kind = PathologyKind::StalledSection;

@@ -41,14 +41,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "runtime/ThreadRegistry.h"
-#include "support/CacheLine.h"
+#include "runtime/PerThreadSlots.h"
 
 namespace solero {
 
@@ -152,8 +150,12 @@ public:
   const WatchdogConfig &config() const { return Cfg; }
 
 private:
-  struct alignas(CacheLineSize) OpCell {
+  struct OpCell {
+    /// Start of the slot's in-flight op, 0 when idle (owner writes).
     std::atomic<uint64_t> StartNs{0};
+    /// Last stall start already reported (monitor thread only), so one
+    /// stuck section fires one diagnostic instead of one per poll.
+    uint64_t Reported = 0;
   };
 
   /// Forces degradation everywhere and records one diagnostic.
@@ -167,10 +169,7 @@ private:
     uint64_t LastRevocations = 0;
   };
   std::vector<BravoWatch> Bravos;
-  std::unique_ptr<OpCell[]> Ops; ///< ThreadRegistry::MaxThreads cells
-  /// Last stall start-ns already reported per slot, so one stuck section
-  /// fires one diagnostic instead of one per poll.
-  std::unique_ptr<uint64_t[]> Reported;
+  PerThreadSlots<OpCell> Ops;
 
   std::atomic<bool> Running{false};
   std::thread Monitor;

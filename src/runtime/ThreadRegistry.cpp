@@ -48,8 +48,11 @@ ThreadState *ThreadRegistry::registerThread() {
   SOLERO_CHECK(Slot < MaxThreads,
                "thread registry full: more than ThreadRegistry::MaxThreads "
                "concurrently live threads (per-slot tables would overflow)");
-  if (Slot == Live.size())
+  if (Slot == Live.size()) {
     Live.push_back(nullptr);
+    SlotHighWater.store(static_cast<uint32_t>(Live.size()),
+                        std::memory_order_seq_cst);
+  }
   auto *TS = new ThreadState();
   TS->Slot = Slot;
   TS->TidBits = (static_cast<uint64_t>(Slot) + 1) << lockword::TidShift;

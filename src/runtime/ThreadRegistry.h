@@ -176,6 +176,36 @@ public:
     return !Overflow.empty() && Overflow.back() == &H;
   }
 
+  // -- ReadWriteLock read holds (owner thread only) -----------------------
+  // The per-thread half of locks/ReadWriteLock.h's reentrancy: how many
+  // read holds this thread has on each lock. Shaped like the read-record
+  // stack (the newest hold on top, searched from there), but it grows
+  // instead of aborting, and a hold whose count drops to 0 is erased from
+  // wherever it sits, so release order need not be LIFO. Keys are never
+  // dereferenced.
+
+  /// Read holds this thread has on \p Lock (0 if none).
+  uint32_t readHoldsOn(const void *Lock) const {
+    std::size_t I = findReadHold(Lock);
+    return I == NoReadHold ? 0 : RwReadHolds[I].Count;
+  }
+  void addReadHold(const void *Lock) {
+    std::size_t I = findReadHold(Lock);
+    if (I == NoReadHold)
+      RwReadHolds.push_back(RwReadHold{Lock, 1});
+    else
+      ++RwReadHolds[I].Count;
+  }
+  /// Drops one hold on \p Lock; false (and no change) if there was none.
+  bool dropReadHold(const void *Lock) {
+    std::size_t I = findReadHold(Lock);
+    if (I == NoReadHold)
+      return false;
+    if (--RwReadHolds[I].Count == 0)
+      RwReadHolds.erase(RwReadHolds.begin() + static_cast<std::ptrdiff_t>(I));
+    return true;
+  }
+
   /// Poll flag: written by the async event bus, consumed by this thread at
   /// check points.
   std::atomic<uint32_t> PollFlag{0};
@@ -206,6 +236,19 @@ private:
   uint32_t ReadsDepth = 0;
   ReadRecord Reads[MaxReadDepth];
   std::vector<ObjectHeader *> Overflow;
+
+  struct RwReadHold {
+    const void *Lock;
+    uint32_t Count;
+  };
+  static constexpr std::size_t NoReadHold = SIZE_MAX;
+  std::size_t findReadHold(const void *Lock) const {
+    for (std::size_t I = RwReadHolds.size(); I-- > 0;)
+      if (RwReadHolds[I].Lock == Lock)
+        return I;
+    return NoReadHold;
+  }
+  std::vector<RwReadHold> RwReadHolds;
 };
 
 namespace detail {
@@ -220,10 +263,11 @@ class ThreadRegistry {
 public:
   /// Hard capacity on concurrently registered threads. Slots are recycled
   /// at thread exit, so this bounds *live* threads, not lifetime threads.
-  /// Components that key per-thread arrays by slot() (ReadWriteLock's
-  /// read-hold table, the BRAVO visible-readers table) size them from this
-  /// constant; registerThread() aborts with a diagnostic rather than hand
-  /// out a slot those arrays would index out of bounds.
+  /// Components that key per-thread arrays by slot() size them from this
+  /// constant: the PerThreadSlots arrays (runtime/PerThreadSlots.h) of
+  /// EpochReclaimer and SpeculationWatchdog, and the BRAVO visible-readers
+  /// table. registerThread() aborts with a diagnostic rather than hand out
+  /// a slot those arrays would index out of bounds.
   static constexpr uint32_t MaxThreads = 1024;
 
   /// The process-wide registry.
@@ -253,6 +297,15 @@ public:
   /// Number of currently registered threads.
   std::size_t liveThreadCount();
 
+  /// One past the highest slot ever handed out (slots below it may be
+  /// free again; none above it was ever used). Monotone. A scan of
+  /// slot-indexed state may stop here: seq_cst, so a scanner that misses a
+  /// registration also precedes, in the seq_cst order, every seq_cst store
+  /// the new thread makes after registering.
+  uint32_t slotHighWater() const {
+    return SlotHighWater.load(std::memory_order_seq_cst);
+  }
+
 private:
   ThreadRegistry() = default;
   static ThreadState &currentSlow();
@@ -264,6 +317,7 @@ private:
   std::mutex Mu;
   std::vector<ThreadState *> Live; // indexed by slot; null = free slot
   ProtocolCounters Retired;        // counters of exited threads
+  std::atomic<uint32_t> SlotHighWater{0}; // == Live.size(), readable lock-free
 };
 
 } // namespace solero

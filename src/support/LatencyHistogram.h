@@ -23,6 +23,7 @@
 #ifndef SOLERO_SUPPORT_LATENCYHISTOGRAM_H
 #define SOLERO_SUPPORT_LATENCYHISTOGRAM_H
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -85,7 +86,8 @@ public:
   }
 
   /// The \p Q quantile (0..1) as a bucket-midpoint estimate; 0 when empty.
-  /// Exact for values < SubBucketCount, within ~3.1% above.
+  /// Exact for values < SubBucketCount, within ~3.1% above. Never above
+  /// max(): the top bucket's midpoint can exceed every value recorded in it.
   uint64_t quantile(double Q) const {
     SOLERO_CHECK(Q >= 0.0 && Q <= 1.0, "quantile out of range");
     uint64_t Total = count();
@@ -99,7 +101,7 @@ public:
     for (std::size_t I = 0; I < BucketCount; ++I) {
       Seen += Buckets[I].load(std::memory_order_relaxed);
       if (Seen >= Rank)
-        return bucketMidpoint(I);
+        return std::min(bucketMidpoint(I), max());
     }
     return MaxValue.load(std::memory_order_relaxed);
   }

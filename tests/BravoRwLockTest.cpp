@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -219,4 +220,96 @@ TEST_F(BravoRwLockTest, TwoLocksShareAThreadWithoutCrosstalk) {
   L.readUnlock();
   EXPECT_EQ(L.readerCount(), 0u);
   EXPECT_EQ(Other.readerCount(), 0u);
+}
+
+TEST_F(BravoRwLockTest, SlotCollisionSendsSecondLockDownTheSlowPath) {
+  // Allocate locks until one lands on the very slot of this thread's group
+  // that L uses. While L publishes there, the colliding lock must queue on
+  // its underlying lock, in both release orders, and leave nothing behind.
+  BravoReaderTable &Table = BravoReaderTable::instance();
+  BravoReaderTable::Slot *Shared = &Table.slotFor(&L).Published;
+  std::vector<std::unique_ptr<BravoRwLock>> Pool;
+  BravoRwLock *Other = nullptr;
+  while (!Other) {
+    ASSERT_LT(Pool.size(), 4096u) << "no lock hashed onto L's slot";
+    Pool.push_back(std::make_unique<BravoRwLock>(Ctx));
+    if (&Table.slotFor(Pool.back().get()).Published == Shared)
+      Other = Pool.back().get();
+  }
+  armBias();
+  Other->readLock();
+  Other->readUnlock();
+  ASSERT_TRUE(Other->readBiased());
+
+  RelaxedCounter &Rmws = ThreadRegistry::current().Counters.AtomicRmws;
+  for (bool OtherReleasesFirst : {true, false}) {
+    SCOPED_TRACE(OtherReleasesFirst ? "Other released first"
+                                    : "L released first");
+    L.readLock();
+    ASSERT_EQ(Shared->load(std::memory_order_relaxed), &L);
+    uint64_t RmwsBefore = Rmws;
+    Other->readLock();
+    Other->readLock(); // nested: stays on the underlying path too
+    EXPECT_GE(Rmws - RmwsBefore, 2u); // underlying reader-count CASes
+    EXPECT_EQ(Shared->load(std::memory_order_relaxed), &L);
+    EXPECT_EQ(Table.countReadersOf(Other), 0u);
+    EXPECT_EQ(Other->readerCount(), 2u);
+    EXPECT_EQ(L.readerCount(), 1u);
+    Other->readUnlock();
+    if (OtherReleasesFirst) {
+      Other->readUnlock();
+      L.readUnlock();
+    } else {
+      L.readUnlock();
+      EXPECT_EQ(Shared->load(std::memory_order_relaxed), nullptr);
+      Other->readUnlock(); // slot now empty: still the underlying release
+    }
+    EXPECT_EQ(Shared->load(std::memory_order_relaxed), nullptr);
+    EXPECT_EQ(L.readerCount(), 0u);
+    EXPECT_EQ(Other->readerCount(), 0u);
+  }
+  // Both locks still admit writers, so no hold leaked on either path.
+  L.writeLock();
+  L.writeUnlock();
+  Other->writeLock();
+  Other->writeUnlock();
+}
+
+TEST_F(BravoRwLockTest, SlowOuterHoldAndBiasedInnerHoldReleaseOnOwnPaths) {
+  // An outer hold taken while bias is off sits in the underlying lock; once
+  // bias re-arms, an inner hold publishes in the table. Each unlock must
+  // retire its own kind of hold.
+  BravoConfig Cfg;
+  Cfg.InhibitMultiplier = 0; // the inhibit window is the 1 us floor
+  BravoRwLock B(Ctx, Cfg);
+  BravoReaderTable &Table = BravoReaderTable::instance();
+  B.readLock();
+  B.readUnlock();
+  ASSERT_TRUE(B.readBiased());
+  B.writeLock(); // revokes
+  B.writeUnlock();
+  ASSERT_FALSE(B.readBiased());
+
+  B.readLock(); // outer: bias off, so the underlying path
+  EXPECT_EQ(Table.countReadersOf(&B), 0u);
+  EXPECT_EQ(B.readerCount(), 1u);
+  // Slow-path round trips re-arm the bias once the window has passed.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (int I = 0; I < 100000 && !B.readBiased(); ++I) {
+    B.readLock();
+    B.readUnlock();
+  }
+  ASSERT_TRUE(B.readBiased());
+  EXPECT_EQ(B.readerCount(), 1u);
+
+  B.readLock(); // inner: biased publication under the underlying hold
+  EXPECT_EQ(Table.countReadersOf(&B), 1u);
+  EXPECT_EQ(B.readerCount(), 2u);
+  B.readUnlock(); // retires the publication, not the underlying hold
+  EXPECT_EQ(Table.countReadersOf(&B), 0u);
+  EXPECT_EQ(B.readerCount(), 1u);
+  B.readUnlock(); // the underlying hold
+  EXPECT_EQ(B.readerCount(), 0u);
+  B.writeLock();
+  B.writeUnlock();
 }

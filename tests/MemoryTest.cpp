@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <set>
 #include <thread>
 #include <vector>
@@ -137,6 +138,43 @@ TEST(EpochReclaimer, PinnedReaderBlocksReclamation) {
   EXPECT_EQ(Freed, 0);
   Stage.store(2);
   Reader.join();
+  for (int I = 0; I < 5; ++I)
+    R.collect();
+  EXPECT_EQ(Freed, 1);
+}
+
+TEST(EpochReclaimer, PinsFromEveryRegistrySlot) {
+  // Every slot the registry can hand out must be trackable, and scanned:
+  // hold enough threads live that some register above slot 512, pin from
+  // those, and check the pins still hold back reclamation.
+  constexpr std::ptrdiff_t N = 520;
+  EpochReclaimer R;
+  int Freed = 0;
+  int Dummy;
+  std::atomic<uint32_t> HighPins{0};
+  std::latch Pinned(N), Release(1);
+  std::vector<std::thread> Ts;
+  for (std::ptrdiff_t I = 0; I < N; ++I)
+    Ts.emplace_back([&] {
+      if (ThreadRegistry::current().slot() < 512) {
+        Pinned.count_down();
+        Release.wait();
+        return;
+      }
+      EpochReclaimer::Pin P(R);
+      HighPins.fetch_add(1);
+      Pinned.count_down();
+      Release.wait();
+    });
+  Pinned.wait();
+  EXPECT_GT(HighPins.load(), 0u);
+  R.retire(&Dummy, CountingTarget::deleter, &Freed);
+  for (int I = 0; I < 5; ++I)
+    R.collect();
+  EXPECT_EQ(Freed, 0);
+  Release.count_down();
+  for (auto &T : Ts)
+    T.join();
   for (int I = 0; I < 5; ++I)
     R.collect();
   EXPECT_EQ(Freed, 1);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -175,4 +176,78 @@ TEST_F(ReadWriteLockTest, ReadAcquisitionCountsAtomicRmws) {
     L.synchronizedReadOnly([](ReadGuard &) { return 0; });
   ProtocolCounters After = ThreadRegistry::instance().totalCounters();
   EXPECT_GE(After.AtomicRmws - Before.AtomicRmws, 200u); // lock + unlock
+}
+
+TEST_F(ReadWriteLockTest, ManyReadHoldsReleasedOutOfOrder) {
+  // Read holds are kept per thread, so one thread may hold read on more
+  // locks than the read-record stack is deep, nest some of them, and
+  // release them in any order.
+  constexpr std::size_t N = 200;
+  static_assert(N > ThreadState::MaxReadDepth);
+  std::vector<std::unique_ptr<ReadWriteLock>> Locks;
+  for (std::size_t I = 0; I < N; ++I)
+    Locks.push_back(std::make_unique<ReadWriteLock>(Ctx));
+  auto Holds = [](std::size_t I) { return I % 3 == 0 ? 2u : 1u; };
+  for (std::size_t I = 0; I < N; ++I)
+    for (uint32_t H = 0; H < Holds(I); ++H)
+      Locks[I]->readLock();
+  ThreadState &TS = ThreadRegistry::current();
+  for (std::size_t I = 0; I < N; ++I) {
+    EXPECT_EQ(TS.readHoldsOn(Locks[I].get()), Holds(I));
+    EXPECT_EQ(Locks[I]->readerCount(), Holds(I));
+  }
+  // 7 is coprime to 200, so this visits every lock once, in neither
+  // acquisition order nor its reverse.
+  for (std::size_t K = 0; K < N; ++K) {
+    std::size_t I = (K * 7) % N;
+    for (uint32_t H = 0; H < Holds(I); ++H)
+      Locks[I]->readUnlock();
+    EXPECT_EQ(Locks[I]->readerCount(), 0u);
+    EXPECT_EQ(TS.readHoldsOn(Locks[I].get()), 0u);
+  }
+  for (std::size_t I = 0; I < N; ++I) {
+    Locks[I]->writeLock(); // nothing left holding any of them
+    Locks[I]->writeUnlock();
+  }
+}
+
+TEST_F(ReadWriteLockTest, ReentrantReaderBypassesWaitingWriter) {
+  L.readLock();
+  std::atomic<bool> WriterIn{false}, FreshIn{false};
+  std::thread Writer([&] {
+    L.writeLock();
+    WriterIn.store(true);
+    L.writeUnlock();
+  });
+  while (L.waitingWriters() == 0)
+    std::this_thread::yield();
+  // The writer gate is up: a reader without a hold queues behind it...
+  std::thread Fresh([&] {
+    L.readLock();
+    FreshIn.store(true);
+    L.readUnlock();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(FreshIn.load());
+  // ...but a reentrant reader passes it, or it would deadlock against the
+  // writer that is waiting for its first hold.
+  L.readLock();
+  EXPECT_EQ(L.readerCount(), 2u);
+  EXPECT_FALSE(WriterIn.load());
+  L.readUnlock();
+  L.readUnlock();
+  Writer.join();
+  Fresh.join();
+  EXPECT_TRUE(WriterIn.load());
+  EXPECT_TRUE(FreshIn.load());
+  EXPECT_EQ(L.readerCount(), 0u);
+}
+
+TEST_F(ReadWriteLockTest, ReadUnlockWithoutHoldAborts) {
+  // A hold on another lock does not count: the check is per lock.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ReadWriteLock Other(Ctx);
+  Other.readLock();
+  EXPECT_DEATH(L.readUnlock(), "readUnlock without a read hold");
+  Other.readUnlock();
 }

@@ -6,6 +6,7 @@
 
 #include "runtime/AsyncEventBus.h"
 #include "runtime/MonitorTable.h"
+#include "runtime/PerThreadSlots.h"
 #include "runtime/ReadGuard.h"
 #include "runtime/RuntimeContext.h"
 #include "runtime/ThreadRegistry.h"
@@ -78,6 +79,41 @@ TEST(ThreadRegistry, ReadRecordStackPushPop) {
   TS.popRead();
   TS.popRead();
   EXPECT_EQ(TS.readDepth(), 0u);
+}
+
+TEST(ThreadRegistry, ReadHoldsGrowAndReleaseInAnyOrder) {
+  ThreadState &TS = ThreadRegistry::current();
+  int A, B, C;
+  EXPECT_FALSE(TS.dropReadHold(&A));
+  TS.addReadHold(&A);
+  TS.addReadHold(&B);
+  TS.addReadHold(&A);
+  TS.addReadHold(&C);
+  EXPECT_EQ(TS.readHoldsOn(&A), 2u);
+  EXPECT_EQ(TS.readHoldsOn(&B), 1u);
+  EXPECT_TRUE(TS.dropReadHold(&B)); // from the middle
+  EXPECT_EQ(TS.readHoldsOn(&B), 0u);
+  EXPECT_FALSE(TS.dropReadHold(&B));
+  EXPECT_TRUE(TS.dropReadHold(&A));
+  EXPECT_TRUE(TS.dropReadHold(&C));
+  EXPECT_TRUE(TS.dropReadHold(&A));
+  EXPECT_EQ(TS.readHoldsOn(&A), 0u);
+  EXPECT_EQ(TS.readHoldsOn(&C), 0u);
+}
+
+TEST(PerThreadSlots, EveryCellOwnsItsCacheLine) {
+  PerThreadSlots<uint32_t> Cells;
+  for (uint32_t S = 0; S + 1 < ThreadRegistry::MaxThreads; ++S) {
+    auto A = reinterpret_cast<uintptr_t>(&Cells[S]);
+    auto B = reinterpret_cast<uintptr_t>(&Cells[S + 1]);
+    ASSERT_EQ(A % CacheLineSize, 0u);
+    ASSERT_GE(B - A, CacheLineSize);
+  }
+  EXPECT_EQ(Cells[ThreadRegistry::MaxThreads - 1], 0u); // value-initialized
+  Cells.mine() = 7;
+  EXPECT_EQ(Cells[ThreadRegistry::current().slot()], 7u);
+  EXPECT_GT(Cells.usedSlots(), ThreadRegistry::current().slot());
+  EXPECT_LE(Cells.usedSlots(), ThreadRegistry::MaxThreads);
 }
 
 TEST(MonitorTable, StableMappingPerObject) {

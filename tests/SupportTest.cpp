@@ -7,6 +7,7 @@
 #include "support/Backoff.h"
 #include "support/Barrier.h"
 #include "support/CliParser.h"
+#include "support/LatencyHistogram.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 #include "support/TablePrinter.h"
@@ -169,4 +170,21 @@ TEST(Barrier, ReleasesAllParticipants) {
   for (auto &T : Ts)
     T.join();
   EXPECT_EQ(Phase1.load(), N);
+}
+
+TEST(LatencyHistogram, QuantileNeverExceedsMax) {
+  // A bucket midpoint can lie above every value in the bucket. One value
+  // of 4884.8 us sits in the bucket whose midpoint is 4915.2 us; the
+  // quantile must report the recorded maximum instead.
+  LatencyHistogram One;
+  One.record(4'884'800);
+  EXPECT_EQ(One.quantile(0.999), 4'884'800u);
+  EXPECT_EQ(One.quantile(0.5), 4'884'800u);
+
+  LatencyHistogram H;
+  Xoshiro256StarStar R(42);
+  for (int I = 0; I < 10000; ++I)
+    H.record(1000 + R.nextBounded(5'000'000));
+  for (int Q = 0; Q <= 1000; ++Q)
+    EXPECT_LE(H.quantile(Q / 1000.0), H.max()) << "q=" << Q / 1000.0;
 }

@@ -105,7 +105,13 @@ TEST_F(TasukiLockTest, ContentionInflatesAndDeflates) {
   });
   while (Stage.load() != 1)
     std::this_thread::yield();
-  // Give the contender time to finish spinning and park.
+  // Give the contender time to finish spinning and park. Its FLC bit marks
+  // the end of the spin tier; a loaded host can stretch that past any fixed
+  // sleep, and an exit before it would hand over the flat lock instead.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((H.word().load() & FlcBit) == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(Stage.load(), 1); // still excluded
   L.exit(H);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Memory-order audit for the lock-word hot paths (ISSUE PR 10).
+"""Memory-order audit for the lock-word hot paths.
 
 Every std::atomic operation in the audited directories must spell its
 memory order explicitly: a defaulted argument silently means seq_cst,
@@ -18,8 +18,15 @@ argument list even when it spans lines, and checks that a
 arguments. compare_exchange calls must name *two* orders (success and
 failure) — the single-order overload derives the failure order silently.
 
+A second check guards per-thread state: an array declared with a
+`[ThreadRegistry::MaxThreads]` or `[MaxThreads]` bound is a dense
+slot-indexed table, whose owner-written cells share cache lines between
+16 threads (the false sharing that once cost BRAVO its read scaling).
+Such state belongs in runtime/PerThreadSlots.h, which pads every cell,
+or in thread-owned state. This check covers all of src/.
+
 Deliberate exceptions carry an inline annotation on the line of the call
-head (or the preceding line):
+head or array bound (or the preceding line):
 
     // atomics-lint: allow(<reason>)
 
@@ -35,6 +42,7 @@ import sys
 from pathlib import Path
 
 AUDITED_DIRS = ["src/core", "src/locks", "src/resilience"]
+PER_THREAD_DIRS = ["src"]
 SUFFIXES = {".h", ".cpp"}
 
 CALL_HEAD = re.compile(
@@ -49,6 +57,8 @@ CALL_HEAD = re.compile(
 ORDER_TOKEN = re.compile(r"\bmemory_order(?:_\w+|\s*::\s*\w+)\b")
 ALLOW = re.compile(r"atomics-lint:\s*allow\(")
 VOLATILE = re.compile(r"\bvolatile\b")
+PER_THREAD_ARRAY = re.compile(
+    r"\[\s*(?:ThreadRegistry\s*::\s*)?MaxThreads\s*\]")
 
 
 def strip_noncode(text):
@@ -150,6 +160,21 @@ def lint_text(text, path="<memory>"):
     return findings
 
 
+def lint_per_thread_arrays(text, path="<memory>"):
+    findings = []
+    code = strip_noncode(text)
+    lines = code.splitlines()
+    for m in PER_THREAD_ARRAY.finditer(code):
+        lineno = line_of(code, m.start())
+        if not allowed(lines, lineno):
+            findings.append(
+                (path, lineno,
+                 "dense per-thread array: owner-written cells of neighbouring "
+                 "threads share cache lines; use PerThreadSlots "
+                 "(runtime/PerThreadSlots.h) or thread-owned state"))
+    return findings
+
+
 def self_test():
     bad = """
         V = W.load();
@@ -160,6 +185,9 @@ def self_test():
                                     std::memory_order_acq_rel)) {}
         std::atomic_thread_fence();
         volatile int X = 0;
+        Holds(new uint32_t[ThreadRegistry::MaxThreads]()),
+        Cells(new OpCell[ MaxThreads ]);
+        uint64_t Table[ThreadRegistry :: MaxThreads];
     """
     good = """
         V = W.load(std::memory_order_acquire);
@@ -172,12 +200,23 @@ def self_test():
         // atomics-lint: allow(annotation on the preceding line)
         W.load();
         // comment: W.store(3); volatile — stripped, not a finding
+        PerThreadSlots<OpCell> Ops;
+        Groups(new Group[Partitions * ThreadRegistry::MaxThreads]);
+        for (uint32_t S = 0; S < ThreadRegistry::MaxThreads; ++S) {}
+        // a comment naming new uint32_t[MaxThreads] is not a finding
+        Log("new T[MaxThreads]");
+        // atomics-lint: allow(the padded per-thread type itself)
+        Cells(new CacheLinePadded<T>[ThreadRegistry::MaxThreads]);
     """
-    bad_found = lint_text(bad, "bad")
-    good_found = lint_text(good, "good")
-    ok = len(bad_found) == 7 and not good_found
+
+    def both(text, path):
+        return lint_text(text, path) + lint_per_thread_arrays(text, path)
+
+    bad_found = both(bad, "bad")
+    good_found = both(good, "good")
+    ok = len(bad_found) == 10 and not good_found
     if not ok:
-        print(f"self-test FAILED: bad={len(bad_found)} (want 7), "
+        print(f"self-test FAILED: bad={len(bad_found)} (want 10), "
               f"good={len(good_found)} (want 0)")
         for f in bad_found + good_found:
             print("  %s:%d: %s" % f)
@@ -199,20 +238,27 @@ def main(argv):
             return 2
         else:
             dirs.append(arg)
-    dirs = dirs or AUDITED_DIRS
+    # Explicit directories get both checks; by default each check covers
+    # its own set.
+    passes = ([(dirs, lint_text), (dirs, lint_per_thread_arrays)] if dirs
+              else [(AUDITED_DIRS, lint_text),
+                    (PER_THREAD_DIRS, lint_per_thread_arrays)])
 
     findings = []
-    scanned = 0
-    for d in dirs:
-        base = root / d
-        if not base.is_dir():
-            print(f"atomics_lint: no such directory {base}", file=sys.stderr)
-            return 2
-        for p in sorted(base.rglob("*")):
-            if p.suffix in SUFFIXES:
-                scanned += 1
-                findings.extend(
-                    lint_text(p.read_text(), str(p.relative_to(root))))
+    scanned = set()
+    for pass_dirs, check in passes:
+        for d in pass_dirs:
+            base = root / d
+            if not base.is_dir():
+                print(f"atomics_lint: no such directory {base}",
+                      file=sys.stderr)
+                return 2
+            for p in sorted(base.rglob("*")):
+                if p.suffix in SUFFIXES:
+                    scanned.add(p)
+                    findings.extend(
+                        check(p.read_text(), str(p.relative_to(root))))
+    scanned = len(scanned)
     for path, lineno, msg in findings:
         print(f"{path}:{lineno}: {msg}")
     print(f"atomics_lint: {scanned} files, {len(findings)} findings")
