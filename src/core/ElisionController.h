@@ -8,7 +8,7 @@
 /// \file
 /// Failure-ratio-driven speculation policy for SOLERO read-only sections.
 ///
-/// The paper's fixed policy (MaxSpecAttempts = 1, unconditional fallback)
+/// The paper's fixed policy (one attempt, unconditional fallback)
 /// makes elision pure overhead in write-heavy phases: every read section
 /// pays the entry fence, a doomed speculative execution, and the real
 /// acquisition on top (Figure 15 shows the win collapsing as the failure
@@ -62,8 +62,8 @@ const char *elisionStateName(ElisionState S);
 /// conservative: a lock whose speculation keeps succeeding never leaves
 /// Elide and pays only the window bookkeeping.
 struct AdaptiveElisionConfig {
-  /// Master switch. Off reproduces the paper's fixed policy exactly
-  /// (SoleroConfig::MaxSpecAttempts, immediate fallback, no bookkeeping).
+  /// Master switch. Off applies the fixed policy
+  /// (SoleroConfig::MaxSpecAttempts, no bookkeeping).
   bool Enabled = false;
   /// Speculative attempts per decay window; when the window fills, the
   /// failure ratio is evaluated and both counters are halved so old
@@ -84,13 +84,13 @@ struct AdaptiveElisionConfig {
   /// window is judged healthy enough to re-enable elision.
   double ReenableRatio = 0.25;
   /// Adaptive MaxSpecAttempts while in Elide (with ExpBackoff pauses
-  /// between attempts). Defaults to the paper's single attempt: retries
-  /// only pay off when failures are transient (a writer caught mid-flight
-  /// whom the backoff pause lets finish), so raising this is an opt-in for
-  /// preemption-heavy environments. Deterministically conflicting sections
-  /// make every retry a pure loss — Throttled exists to claw the budget
-  /// back to 1 when the failure ratio says that is happening.
-  int ElideMaxAttempts = 1;
+  /// between attempts). Only a failure another thread caused re-speculates
+  /// (a writer caught mid-flight, which the pause lets finish); a section
+  /// failed by its own nested write falls back at once, so the second
+  /// attempt costs deterministic conflicts nothing. It ends the fallback
+  /// convoy (DESIGN.md §9). Throttled still claws the budget back to 1
+  /// when the failure ratio climbs.
+  int ElideMaxAttempts = 2;
   /// Speculative samples taken in Reprobe before judging the ratio.
   uint32_t ReprobeWindow = 8;
   /// Read sections that skip speculation after the first disable; doubles

@@ -15,10 +15,11 @@
 /// Read-only critical sections run speculatively without writing the lock
 /// word: they record the free word at entry and succeed iff the word is
 /// unchanged at exit (Figure 7). Slow paths (Figures 8-9) handle
-/// recursion, contention, inflation, and the single-failure fallback that
-/// acquires the lock for real. Guest exceptions raised during speculation
-/// are absorbed and retried when the lock word changed (Section 3.3);
-/// asynchronous events bound inconsistent-read loops via
+/// recursion, contention, inflation, and the fallback that acquires the
+/// lock for real (after one failure in the paper; here a failure another
+/// thread caused re-speculates once first). Guest exceptions raised
+/// during speculation are absorbed and retried when the lock word changed
+/// (Section 3.3); asynchronous events bound inconsistent-read loops via
 /// speculationCheckpoint(). Section 5's read-mostly extension upgrades to
 /// the lock mid-section with a CAS on the recorded word (Figure 17).
 ///
@@ -63,11 +64,13 @@ struct SoleroConfig {
   /// writing protocol (Figure 10's overhead bound).
   bool ElideReadOnly = true;
   BarrierMode Barriers = BarrierMode::Correct;
-  /// Failed speculative executions before falling back to real
-  /// acquisition. The paper's implementation falls back after one failure.
-  /// Only consulted when the adaptive controller is off; when it is on,
-  /// the per-state budgets in Adaptive govern instead.
-  int MaxSpecAttempts = 1;
+  /// Speculative executions per section before falling back to real
+  /// acquisition. Only a failure another thread caused re-speculates; a
+  /// self-caused one falls back at once (see respeculate()). 1 is the
+  /// paper's policy: fall back after any failure. Only consulted when the
+  /// adaptive controller is off; when it is on, the per-state budgets in
+  /// Adaptive govern instead.
+  int MaxSpecAttempts = 2;
   /// Failure-ratio-driven speculation policy (core/ElisionController.h).
   /// Disabled by default: the paper's fixed policy applies.
   AdaptiveElisionConfig Adaptive;
@@ -369,6 +372,40 @@ private:
     }
   }
 
+  /// Decides what a failed speculation does next, for both engines.
+  /// \p Failures counts the section's failures, this one included;
+  /// \p WritesBefore is TS's write-entry count when the attempt began.
+  /// Returns true, after one backoff pause, when the engine should
+  /// speculate again. Returns false, having counted the fallback, when it
+  /// must acquire for real (Figure 7 line 13).
+  ///
+  /// The paper falls back after any failure, and that convoys: the
+  /// fallback's release publishes v + 0x100, which fails every speculation
+  /// then in flight, and each of those falls back in turn. So:
+  /// - another thread's write failed the attempt: that conflict is
+  ///   transient (the writer has left, or readEnter waits it out), so
+  ///   re-speculate while the budget lasts;
+  /// - this thread's own write failed it (a nested same-lock
+  ///   synchronizedWrite, Section 3.2): the next attempt would fail the
+  ///   same way, so acquire now;
+  /// - the budget is spent: acquire. A budget of 1 is the paper's policy.
+  bool respeculate(ThreadState &TS, const ElisionController::Decision &D,
+                   int Failures, uint64_t WritesBefore,
+                   std::optional<ExpBackoff> &Backoff) {
+    if (Failures >= D.MaxAttempts || TS.Counters.WriteEntries != WritesBefore) {
+      ++TS.Counters.Fallbacks;
+      noteOutcome(TS, D, Failures, Failures);
+      return false;
+    }
+    // Widen the conflicting writer's window before burning another
+    // attempt (bounded exponential backoff, built on first use only).
+    if (!Backoff)
+      Backoff.emplace(Config.Adaptive.BackoffSpinsMin,
+                      Config.Adaptive.BackoffSpinsMax);
+    Backoff->pause();
+    return true;
+  }
+
   /// Reports a section's final speculation outcome to the controller.
   void noteOutcome(ThreadState &TS, const ElisionController::Decision &D,
                    int Attempts, int Failures) {
@@ -390,8 +427,7 @@ private:
       uint64_t V1 = slowEnterWrite(H, TS);
       return runHoldingRead(H, TS, V1, std::forward<Fn>(F));
     }
-    ExpBackoff Backoff(Config.Adaptive.BackoffSpinsMin,
-                       Config.Adaptive.BackoffSpinsMax);
+    std::optional<ExpBackoff> Backoff;
     ReadEntry E = readEnter(H, TS);
     int Failures = 0;
     for (;;) {
@@ -405,6 +441,7 @@ private:
       // the retry logic, so no deferred result storage is needed (keeping
       // the happy path free of spills across the landing-pad region).
       noteAttempt(TS, D, Failures);
+      uint64_t Writes = TS.Counters.WriteEntries;
       entryFence();
       std::size_t Depth = TS.pushRead(H, E.V);
       ReadGuard G(/*Speculative=*/true);
@@ -439,16 +476,10 @@ private:
         ++TS.Counters.ElisionFailures;
         ++TS.Counters.FaultRetries;
       }
-      if (++Failures >= D.MaxAttempts) {
-        // Fallback (Figure 7 line 13): acquire the lock for real.
-        ++TS.Counters.Fallbacks;
-        noteOutcome(TS, D, Failures, Failures);
+      if (!respeculate(TS, D, ++Failures, Writes, Backoff)) {
         uint64_t V1 = slowEnterWrite(H, TS);
         return runHoldingRead(H, TS, V1, std::forward<Fn>(F));
       }
-      // Retry: widen the conflicting writer's window before burning
-      // another attempt (bounded exponential backoff).
-      Backoff.pause();
       E = readEnter(H, TS);
     }
   }
@@ -474,8 +505,7 @@ private:
       uint64_t V1 = slowEnterWrite(H, TS);
       return runHoldingMostly(H, TS, V1, std::forward<Fn>(F));
     }
-    ExpBackoff Backoff(Config.Adaptive.BackoffSpinsMin,
-                       Config.Adaptive.BackoffSpinsMax);
+    std::optional<ExpBackoff> Backoff;
     ReadEntry E = readEnter(H, TS);
     int Failures = 0;
     for (;;) {
@@ -485,6 +515,7 @@ private:
       }
 
       noteAttempt(TS, D, Failures);
+      uint64_t Writes = TS.Counters.WriteEntries;
       entryFence();
       std::size_t Depth = TS.pushRead(H, E.V);
       WriteIntent W(H, TS, E.V, /*Holding=*/false, Depth);
@@ -506,7 +537,8 @@ private:
         ++TS.Counters.ElisionFailures;
       } catch (WriteIntent::RestartForWrite &) {
         // Upgrade CAS failed: prior reads are unverifiable (Figure 17
-        // line 13): acquire for real and re-execute.
+        // line 13): acquire for real and re-execute. No re-speculation:
+        // the section has shown it writes, so it ends up holding anyway.
         TS.popRead();
         ++TS.Counters.ElisionFailures;
         ++TS.Counters.Fallbacks;
@@ -541,13 +573,10 @@ private:
         ++TS.Counters.ElisionFailures;
         ++TS.Counters.FaultRetries;
       }
-      if (++Failures >= D.MaxAttempts) {
-        ++TS.Counters.Fallbacks;
-        noteOutcome(TS, D, Failures, Failures);
+      if (!respeculate(TS, D, ++Failures, Writes, Backoff)) {
         uint64_t V1 = slowEnterWrite(H, TS);
         return runHoldingMostly(H, TS, V1, std::forward<Fn>(F));
       }
-      Backoff.pause();
       E = readEnter(H, TS);
     }
   }

@@ -17,7 +17,8 @@ ThreadRegistry &ThreadRegistry::instance() {
   return Registry;
 }
 
-thread_local ThreadState *solero::detail::CurrentThreadState = nullptr;
+constinit thread_local ThreadState *solero::detail::CurrentThreadState =
+    nullptr;
 
 /// RAII holder living in thread-local storage; its destructor runs at
 /// thread exit and returns the slot to the registry.

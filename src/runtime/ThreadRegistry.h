@@ -252,8 +252,10 @@ private:
 };
 
 namespace detail {
-/// Fast-path cache for ThreadRegistry::current(). Internal.
-extern thread_local ThreadState *CurrentThreadState;
+/// Fast-path cache for ThreadRegistry::current(). Internal. constinit lets
+/// other translation units read it directly rather than through a TLS
+/// init wrapper (which UBSan reports as a null load).
+extern constinit thread_local ThreadState *CurrentThreadState;
 } // namespace detail
 
 /// Process-wide registry handing out ThreadStates. A thread registers

@@ -77,7 +77,7 @@ public:
     uint64_t Acc = S.State.Sink;
     for (int I = 0; I < Profile.WorkCycles; ++I)
       Acc = Acc * 6364136223846793005ULL + 1442695040888963407ULL;
-    S.State.Sink = static_cast<int64_t>(Acc);
+    S.State.Sink = Acc;
 
     int64_t Key = static_cast<int64_t>(
         Rng.nextBounded(static_cast<uint64_t>(KeySpace)));
@@ -102,7 +102,7 @@ private:
     JavaHashMap<int64_t, int64_t> Table;
     struct {
       Xoshiro256StarStar Rng{0};
-      int64_t Sink = 0;
+      uint64_t Sink = 0; ///< wraps; a signed sum would overflow
     } State;
   };
 

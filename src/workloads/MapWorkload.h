@@ -114,7 +114,7 @@ public:
 private:
   struct ThreadLocalState {
     Xoshiro256StarStar Rng{0};
-    int64_t Sink = 0; ///< keeps the read value observable
+    uint64_t Sink = 0; ///< keeps the read value observable; wraps
   };
 
   void prefill() {

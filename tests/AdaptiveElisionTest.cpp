@@ -201,8 +201,11 @@ TEST_F(AdaptiveElisionTest, ElideRetriesWithBackoffBeforeFallingBack) {
   C.Adaptive.WindowAttempts = 1000; // keep the controller in Elide
   SoleroLock Retry(Ctx, C);
   snap();
-  Retry.synchronizedReadOnly(H, [&](ReadGuard &) {
-    Retry.synchronizedWrite(H, [] {});
+  Retry.synchronizedReadOnly(H, [&](ReadGuard &G) {
+    // A foreign write on every speculative attempt. (A nested write would
+    // be a self-conflict, which falls back without retrying.)
+    if (G.speculative())
+      H.word().fetch_add(lockword::CounterUnit, std::memory_order_relaxed);
     return 0;
   });
   ProtocolCounters D = delta();
@@ -212,8 +215,39 @@ TEST_F(AdaptiveElisionTest, ElideRetriesWithBackoffBeforeFallingBack) {
   EXPECT_EQ(D.Fallbacks, 1u);
 }
 
+TEST_F(AdaptiveElisionTest, ElideReSpeculatesOnlyForeignConflicts) {
+  SoleroConfig C = tinyAdaptiveConfig();
+  C.Adaptive.ElideMaxAttempts = AdaptiveElisionConfig().ElideMaxAttempts;
+  C.Adaptive.WindowAttempts = 1000; // keep the controller in Elide
+  SoleroLock Elide(Ctx, C);
+  int Executions = 0;
+  Elide.synchronizedReadOnly(H, [&](ReadGuard &G) {
+    EXPECT_TRUE(G.speculative());
+    if (Executions++ == 0)
+      H.word().fetch_add(lockword::CounterUnit, std::memory_order_relaxed);
+    return 0;
+  });
+  ProtocolCounters D = delta();
+  EXPECT_EQ(D.ElisionAttempts, 2u);
+  EXPECT_EQ(D.SpecRetries, 1u);
+  EXPECT_EQ(D.Fallbacks, 0u);
+
+  snap();
+  Elide.synchronizedReadOnly(H, [&](ReadGuard &) {
+    Elide.synchronizedWrite(H, [] {});
+    return 0;
+  });
+  D = delta();
+  EXPECT_EQ(D.ElisionAttempts, 1u); // self-conflict: no retry
+  EXPECT_EQ(D.SpecRetries, 0u);
+  EXPECT_EQ(D.Fallbacks, 1u);
+  EXPECT_EQ(Elide.controller().state(), ElisionState::Elide);
+}
+
 TEST_F(AdaptiveElisionTest, AdaptiveOffReproducesFixedPaperPolicy) {
-  SoleroLock Fixed(Ctx); // default config: controller off, 1 attempt
+  // Default config: controller off. The nested write is a self-conflict,
+  // so the default budget of 2 still makes exactly the paper's 1 attempt.
+  SoleroLock Fixed(Ctx);
   snap();
   Fixed.synchronizedReadOnly(H, [&](ReadGuard &) {
     Fixed.synchronizedWrite(H, [] {});

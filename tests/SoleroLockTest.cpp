@@ -41,12 +41,20 @@ protected:
     D.ElisionSuccesses -= Base.ElisionSuccesses;
     D.ElisionFailures -= Base.ElisionFailures;
     D.Fallbacks -= Base.Fallbacks;
+    D.SpecRetries -= Base.SpecRetries;
     D.FaultRetries -= Base.FaultRetries;
     D.AsyncAborts -= Base.AsyncAborts;
     D.Inflations -= Base.Inflations;
     return D;
   }
   void snap() { Base = ThreadRegistry::instance().totalCounters(); }
+
+  /// The paper's budget: fall back after any failed speculation.
+  static SoleroConfig paperPolicy() {
+    SoleroConfig Cfg;
+    Cfg.MaxSpecAttempts = 1;
+    return Cfg;
+  }
 
   RuntimeContext Ctx;
   SoleroLock L;
@@ -128,6 +136,7 @@ TEST_F(SoleroLockTest, ElisionWorksOnFreshLockWithCounterZero) {
 }
 
 TEST_F(SoleroLockTest, InterferenceCausesFallbackAfterOneFailure) {
+  SoleroLock L(Ctx, paperPolicy());
   snap();
   int Executions = 0;
   int V = L.synchronizedReadOnly(H, [&](ReadGuard &G) {
@@ -171,6 +180,154 @@ TEST_F(SoleroLockTest, ConfigurableRetryBudgetReSpeculates) {
   EXPECT_EQ(D.Fallbacks, 0u);
 }
 
+TEST_F(SoleroLockTest, ForeignConflictReSpeculatesInsteadOfAcquiring) {
+  // Another thread's write (simulated by bumping the counter) fails the
+  // first attempt. The default budget re-speculates, and the second
+  // attempt validates: no fallback, so the reader never writes the word.
+  snap();
+  int Executions = 0;
+  int V = L.synchronizedReadOnly(H, [&](ReadGuard &G) {
+    EXPECT_TRUE(G.speculative());
+    if (Executions++ == 0)
+      H.word().fetch_add(CounterUnit, std::memory_order_relaxed);
+    return 61;
+  });
+  EXPECT_EQ(V, 61);
+  EXPECT_EQ(Executions, 2);
+  ProtocolCounters D = delta();
+  EXPECT_EQ(D.ElisionAttempts, 2u);
+  EXPECT_EQ(D.ElisionFailures, 1u);
+  EXPECT_EQ(D.ElisionSuccesses, 1u);
+  EXPECT_EQ(D.SpecRetries, 1u);
+  EXPECT_EQ(D.Fallbacks, 0u);
+  EXPECT_EQ(H.word().load(), CounterUnit); // only the foreign bump
+}
+
+TEST_F(SoleroLockTest, ForeignConflictOnBothAttemptsFallsBackOnce) {
+  snap();
+  int Executions = 0;
+  int V = L.synchronizedReadOnly(H, [&](ReadGuard &G) {
+    ++Executions;
+    if (G.speculative())
+      H.word().fetch_add(CounterUnit, std::memory_order_relaxed);
+    else
+      EXPECT_TRUE(L.heldByCurrentThread(H));
+    return 67;
+  });
+  EXPECT_EQ(V, 67);
+  EXPECT_EQ(Executions, 3); // two speculative, one holding
+  ProtocolCounters D = delta();
+  EXPECT_EQ(D.ElisionAttempts, 2u);
+  EXPECT_EQ(D.ElisionFailures, 2u);
+  EXPECT_EQ(D.SpecRetries, 1u);
+  EXPECT_EQ(D.Fallbacks, 1u);
+}
+
+TEST_F(SoleroLockTest, SelfConflictFallsBackWithoutReSpeculating) {
+  // A nested write on the same lock fails the speculation itself (Section
+  // 3.2); another attempt would fail the same way, so however large the
+  // budget, the engine acquires after the first failure.
+  SoleroConfig Cfg;
+  Cfg.MaxSpecAttempts = 3;
+  SoleroLock L3(Ctx, Cfg);
+  snap();
+  int Executions = 0;
+  L3.synchronizedReadOnly(H, [&](ReadGuard &) {
+    ++Executions;
+    L3.synchronizedWrite(H, [] {});
+    return 0;
+  });
+  EXPECT_EQ(Executions, 2);
+  ProtocolCounters D = delta();
+  EXPECT_EQ(D.ElisionAttempts, 1u);
+  EXPECT_EQ(D.SpecRetries, 0u);
+  EXPECT_EQ(D.Fallbacks, 1u);
+}
+
+TEST_F(SoleroLockTest, ReadMostlyForeignConflictReSpeculates) {
+  snap();
+  int Executions = 0;
+  int V = L.synchronizedReadMostly(H, [&](WriteIntent &W) {
+    EXPECT_FALSE(W.holding());
+    if (Executions++ == 0)
+      H.word().fetch_add(CounterUnit, std::memory_order_relaxed);
+    return 71;
+  });
+  EXPECT_EQ(V, 71);
+  EXPECT_EQ(Executions, 2);
+  ProtocolCounters D = delta();
+  EXPECT_EQ(D.ElisionSuccesses, 1u);
+  EXPECT_EQ(D.SpecRetries, 1u);
+  EXPECT_EQ(D.Fallbacks, 0u);
+  EXPECT_EQ(H.word().load(), CounterUnit);
+}
+
+TEST_F(SoleroLockTest, ReadMostlyForeignConflictOnBothAttemptsFallsBackOnce) {
+  snap();
+  int Executions = 0;
+  L.synchronizedReadMostly(H, [&](WriteIntent &W) {
+    ++Executions;
+    if (!W.holding())
+      H.word().fetch_add(CounterUnit, std::memory_order_relaxed);
+    return 0;
+  });
+  EXPECT_EQ(Executions, 3);
+  ProtocolCounters D = delta();
+  EXPECT_EQ(D.ElisionAttempts, 2u);
+  EXPECT_EQ(D.SpecRetries, 1u);
+  EXPECT_EQ(D.Fallbacks, 1u);
+}
+
+TEST_F(SoleroLockTest, ReadMostlySelfConflictFallsBackWithoutReSpeculating) {
+  SoleroConfig Cfg;
+  Cfg.MaxSpecAttempts = 3;
+  SoleroLock L3(Ctx, Cfg);
+  snap();
+  int Executions = 0;
+  L3.synchronizedReadMostly(H, [&](WriteIntent &) {
+    ++Executions;
+    L3.synchronizedWrite(H, [] {});
+    return 0;
+  });
+  EXPECT_EQ(Executions, 2);
+  ProtocolCounters D = delta();
+  EXPECT_EQ(D.ElisionAttempts, 1u);
+  EXPECT_EQ(D.SpecRetries, 0u);
+  EXPECT_EQ(D.Fallbacks, 1u);
+}
+
+TEST_F(SoleroLockTest, WriterFinishingMidReadDoesNotForceAFallback) {
+  // A real second thread completes a writing section while the reader is
+  // inside its first speculative execution. Flags, not sleeps, order the
+  // two: the reader waits in its body until the writer has released.
+  std::atomic<bool> ReaderInBody{false}, WriterDone{false};
+  std::thread Writer([&] {
+    while (!ReaderInBody.load(std::memory_order_acquire))
+      cpuRelax();
+    L.synchronizedWrite(H, [] {});
+    WriterDone.store(true, std::memory_order_release);
+  });
+  snap();
+  int Executions = 0;
+  int V = L.synchronizedReadOnly(H, [&](ReadGuard &G) {
+    EXPECT_TRUE(G.speculative());
+    if (Executions++ == 0) {
+      ReaderInBody.store(true, std::memory_order_release);
+      while (!WriterDone.load(std::memory_order_acquire))
+        cpuRelax();
+    }
+    return 73;
+  });
+  Writer.join();
+  EXPECT_EQ(V, 73);
+  EXPECT_EQ(Executions, 2);
+  ProtocolCounters D = delta();
+  EXPECT_EQ(D.ElisionFailures, 1u);
+  EXPECT_EQ(D.SpecRetries, 1u);
+  EXPECT_EQ(D.Fallbacks, 0u);
+  EXPECT_EQ(H.word().load(), CounterUnit); // only the writer's release
+}
+
 TEST_F(SoleroLockTest, UnelidedModeTakesTheLock) {
   SoleroConfig Cfg;
   Cfg.ElideReadOnly = false;
@@ -198,6 +355,7 @@ TEST_F(SoleroLockTest, GenuineGuestExceptionPropagates) {
 }
 
 TEST_F(SoleroLockTest, InconsistentExceptionIsAbsorbedAndRetried) {
+  SoleroLock L(Ctx, paperPolicy());
   snap();
   int Executions = 0;
   int V = L.synchronizedReadOnly(H, [&](ReadGuard &) -> int {
@@ -217,6 +375,7 @@ TEST_F(SoleroLockTest, InconsistentExceptionIsAbsorbedAndRetried) {
 }
 
 TEST_F(SoleroLockTest, ExceptionWhileHoldingReleasesAndPropagates) {
+  SoleroLock L(Ctx, paperPolicy()); // the second execution must hold
   int Executions = 0;
   EXPECT_THROW(L.synchronizedReadOnly(H,
                                       [&](ReadGuard &) -> int {
