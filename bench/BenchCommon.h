@@ -22,12 +22,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "support/CliParser.h"
+#include "support/NumaTopology.h"
 #include "support/TablePrinter.h"
 #include "workloads/Harness.h"
 #include "workloads/LockPolicies.h"
@@ -175,7 +177,22 @@ struct BenchEnv {
   std::string JsonPath;
 };
 
-/// Prints the standard figure banner.
+/// The CPU model named by the first "model name" line of /proc/cpuinfo,
+/// or "unknown CPU" where there is none.
+inline std::string hostCpuModel() {
+  std::ifstream In("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("model name", 0) == 0) {
+      std::size_t Start = Line.find_first_not_of(" \t:", 10);
+      if (Start != std::string::npos)
+        return Line.substr(Start);
+    }
+  return "unknown CPU";
+}
+
+/// Prints the figure header, with the host it runs on (CPUs the process
+/// may use, NUMA nodes, CPU model).
 inline void printBanner(const char *Id, const char *Title,
                         const char *PaperClaim) {
   std::printf("==============================================================="
@@ -184,10 +201,12 @@ inline void printBanner(const char *Id, const char *Title,
   std::printf("Paper: Nakaike & Michael, \"Lock Elision for Read-Only "
               "Critical Sections in Java\",\n       PLDI 2010.\n");
   std::printf("Paper result: %s\n", PaperClaim);
-  std::printf("Note: this host is a 1-vCPU container (paper used a 16-way "
-              "Power6); wall-clock\nscalability is compressed. The rmw/op and "
-              "st/op columns are the deterministic\ncoherence-traffic proxies "
-              "(see EXPERIMENTS.md).\n");
+  unsigned Nodes = NumaTopology::instance().nodeCount();
+  std::printf("Host: %u CPUs, %u NUMA node%s, %s (paper used a 16-way "
+              "Power6).\nThe rmw/op and st/op columns are the deterministic "
+              "coherence-traffic proxies\n(see EXPERIMENTS.md).\n",
+              NumaTopology::cpuCount(), Nodes, Nodes == 1 ? "" : "s",
+              hostCpuModel().c_str());
   std::printf("==============================================================="
               "=================\n");
 }

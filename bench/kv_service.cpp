@@ -348,7 +348,7 @@ struct ChaosWorkerResult {
   uint64_t Retries = 0;  ///< granted + scheduled retries
   uint64_t RetryDenied = 0;
   uint64_t RetryDropped = 0;
-  uint64_t Violations = 0; ///< inline oracle hits (exclusion, pair read)
+  uint64_t Violations = 0; ///< inline oracle hits (exclusion, pair read, scan)
   uint64_t Skipped = 0;    ///< arrivals shed by the bounded catch-up
   std::vector<uint64_t> PairBumps; ///< per-shard pair writes by this worker
   std::vector<uint64_t> ChurnBits; ///< live-key bitmap (owner-exclusive)
@@ -632,7 +632,8 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
           R.ChurnBits[I / 64] &= ~(1ull << (I % 64));
           RecordAdmitted(Next);
         } else if (Roll < 12) {
-          // Scan + pair-read oracle: one read section must see A == B.
+          // Scan + pair-read oracle: one read section must see A == B,
+          // and its scan must count exactly the shard's live entries.
           // The verdict is the closure's return value so policies that
           // re-execute failed read attempts (SeqLock) stay side-effect
           // free until validation succeeds.
@@ -648,7 +649,9 @@ uint64_t runChaosSoak(BenchEnv &Env, JsonReport &Json, const KvBenchParams &P,
                 auto B = Tab.get(chaosPairKeyB(S));
                 uint64_t Torn =
                     (A.Found && B.Found && A.Value == B.Value) ? 0 : 1;
-                return Torn + (Tab.scan().LiveEntries ? 0 : 0);
+                uint64_t Miscounted =
+                    Tab.scan().LiveEntries != Tab.liveCount() ? 1 : 0;
+                return Torn + Miscounted;
               });
           Wd.opEnd(Slot);
           R.Violations += Bad;

@@ -7,16 +7,21 @@
 /// Google-benchmark microbenchmarks of the lock primitives themselves:
 /// per-protocol enter/exit latency on the uncontended fast paths, the
 /// plain seqlock, epoch pins, and the read-only elision engine. These are
-/// the building blocks behind Figure 10.
+/// the building blocks behind Figure 10. Also the KV shard SCAN kernel,
+/// the largest layer of a KV request's time.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/ElisionController.h"
 #include "core/SoleroLock.h"
 #include "jit/Interpreter.h"
 #include "jit/MethodBuilder.h"
+#include "kv/ShardTable.h"
 #include "locks/BravoRwLock.h"
 #include "locks/ReadWriteLock.h"
 #include "support/Backoff.h"
@@ -298,6 +303,47 @@ void BM_ThreadRegistryCurrent(benchmark::State &State) {
     benchmark::DoNotOptimize(&ThreadRegistry::current());
 }
 BENCHMARK(BM_ThreadRegistryCurrent);
+
+// --- KV shard SCAN kernel -------------------------------------------------
+
+/// One ShardTable::scan() pass over an 8192-slot shard: the kernel alone,
+/// with no lock section and no epoch pin. Each shard is filled to its 70%
+/// resize trigger, then all but Arg% of those keys are removed, so in hash
+/// order each slot is empty, a tombstone or live. Arg is thus the live
+/// share of the occupied slots (90% of all slots cannot be live: put
+/// resizes first). Successive passes rotate over 16 such shards, as many
+/// as the KV benchmark store has: rescanning one shard would let the
+/// branch predictor learn its 8192-slot pattern, which no real scan sees.
+/// time_per_slot is the cost of one slot.
+void BM_ShardTableScan(benchmark::State &State) {
+  constexpr std::size_t Slots = 8192, Shards = 16;
+  const uint64_t LivePct = static_cast<uint64_t>(State.range(0));
+  const uint64_t Used = Slots * 7 / 10;
+  EpochReclaimer Epoch;
+  std::vector<std::unique_ptr<kv::ShardTable>> Tables;
+  for (std::size_t S = 0; S < Shards; ++S) {
+    auto T = std::make_unique<kv::ShardTable>(Epoch, Slots);
+    for (uint64_t K = 0; K < Used; ++K)
+      T->put(S << 32 | K, K);
+    for (uint64_t K = 0; K < Used; ++K)
+      if (K % 100 >= LivePct)
+        T->remove(S << 32 | K);
+    if (T->capacity() != Slots || T->resizeCount() != 0)
+      State.SkipWithError("shard resized while filling");
+    Tables.push_back(std::move(T));
+  }
+  std::size_t Next = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(Tables[Next]->scan());
+    Next = (Next + 1) % Shards;
+  }
+  State.counters["time_per_slot"] = benchmark::Counter(
+      static_cast<double>(Slots),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  Epoch.drainAll(); // retired cells point into the tables' pools
+}
+BENCHMARK(BM_ShardTableScan)->Arg(10)->Arg(50)->Arg(90);
 
 // --- CSIR execution engine -------------------------------------------------
 

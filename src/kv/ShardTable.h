@@ -116,6 +116,13 @@ public:
   /// scan-consistency oracle the torture harness checks. Polls the
   /// speculation checkpoint per slot so an optimistic scan overlapping a
   /// mutator aborts promptly instead of completing a doomed pass.
+  ///
+  /// The body takes no branch on a slot's state. Slots are in hash order,
+  /// so branches on "empty?" and "tombstone?" would mispredict often;
+  /// instead every slot loads both fields, and an empty slot or a
+  /// tombstone adds the zero payload of ZeroCell (a conditional select,
+  /// not a branch). Cells are type-stable, so the unconditional payload
+  /// load is as safe as the guarded one.
   ScanStats scan() const {
     const Table *T = Current.load(std::memory_order_acquire);
     ScanStats St;
@@ -123,13 +130,12 @@ public:
     for (std::size_t I = 0; I < T->Capacity; ++I) {
       speculationLoopGuard(Steps);
       const Slot &S = T->Slots[I];
-      if (S.KeyPlusOne.load(std::memory_order_acquire) == 0)
-        continue;
+      uint64_t K = S.KeyPlusOne.load(std::memory_order_acquire);
       const ValueCell *C = S.Cell.load(std::memory_order_acquire);
-      if (!C)
-        continue; // tombstone
-      ++St.LiveEntries;
-      St.ValueSum += C->Payload.load(std::memory_order_relaxed);
+      bool Live = (K != 0) & (C != nullptr);
+      const ValueCell *Src = Live ? C : &ZeroCell;
+      St.LiveEntries += Live;
+      St.ValueSum += Src->Payload.load(std::memory_order_relaxed);
     }
     return St;
   }
@@ -234,6 +240,10 @@ private:
     std::atomic<uint64_t> Payload;
   };
 
+  /// What scan() reads for an empty slot or a tombstone. Never written, so
+  /// its payload stays 0.
+  static const ValueCell ZeroCell;
+
   struct Slot {
     /// 0 = never used; otherwise key+1 (tombstones keep their key so probe
     /// chains stay intact).
@@ -314,6 +324,8 @@ private:
   std::size_t Tombstones = 0;
   std::atomic<uint64_t> Resizes{0};
 };
+
+inline const ShardTable::ValueCell ShardTable::ZeroCell{};
 
 } // namespace kv
 } // namespace solero

@@ -28,6 +28,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 
 #include "support/Assert.h"
 
@@ -55,11 +56,8 @@ public:
   /// concurrently with mergeFrom/quantile readers.
   void record(uint64_t ValueNs) {
     Buckets[bucketIndex(ValueNs)].fetch_add(1, std::memory_order_relaxed);
-    uint64_t Max = MaxValue.load(std::memory_order_relaxed);
-    while (ValueNs > Max &&
-           !MaxValue.compare_exchange_weak(Max, ValueNs,
-                                           std::memory_order_relaxed))
-      ;
+    widen(MaxValue, ValueNs, std::greater<>());
+    widen(MinValue, ValueNs, std::less<>());
   }
 
   /// Adds every count of \p Other into this histogram.
@@ -69,12 +67,9 @@ public:
       if (C)
         Buckets[I].fetch_add(C, std::memory_order_relaxed);
     }
-    uint64_t OtherMax = Other.MaxValue.load(std::memory_order_relaxed);
-    uint64_t Max = MaxValue.load(std::memory_order_relaxed);
-    while (OtherMax > Max &&
-           !MaxValue.compare_exchange_weak(Max, OtherMax,
-                                           std::memory_order_relaxed))
-      ;
+    widen(MaxValue, Other.max(), std::greater<>());
+    widen(MinValue, Other.MinValue.load(std::memory_order_relaxed),
+            std::less<>());
   }
 
   /// Total recorded values.
@@ -86,8 +81,9 @@ public:
   }
 
   /// The \p Q quantile (0..1) as a bucket-midpoint estimate; 0 when empty.
-  /// Exact for values < SubBucketCount, within ~3.1% above. Never above
-  /// max(): the top bucket's midpoint can exceed every value recorded in it.
+  /// Exact for values < SubBucketCount, within ~3.1% above. Clamped to
+  /// [min(), max()]: a bucket's midpoint can lie above every value recorded
+  /// in it (the top bucket) or below every one (the bottom bucket).
   uint64_t quantile(double Q) const {
     SOLERO_CHECK(Q >= 0.0 && Q <= 1.0, "quantile out of range");
     uint64_t Total = count();
@@ -101,13 +97,19 @@ public:
     for (std::size_t I = 0; I < BucketCount; ++I) {
       Seen += Buckets[I].load(std::memory_order_relaxed);
       if (Seen >= Rank)
-        return std::min(bucketMidpoint(I), max());
+        return std::clamp(bucketMidpoint(I), min(), max());
     }
     return MaxValue.load(std::memory_order_relaxed);
   }
 
   /// Largest recorded value (exact, not bucketed).
   uint64_t max() const { return MaxValue.load(std::memory_order_relaxed); }
+
+  /// Smallest recorded value (exact, not bucketed); 0 when empty.
+  uint64_t min() const {
+    uint64_t Min = MinValue.load(std::memory_order_relaxed);
+    return Min == NoValue ? 0 : Min;
+  }
 
   /// Mean of the bucket-midpoint estimates; 0 when empty.
   double mean() const {
@@ -128,6 +130,7 @@ public:
     for (auto &B : Buckets)
       B.store(0, std::memory_order_relaxed);
     MaxValue.store(0, std::memory_order_relaxed);
+    MinValue.store(NoValue, std::memory_order_relaxed);
   }
 
   /// Bucket index of \p Value: identity below SubBucketCount, else octave
@@ -163,8 +166,22 @@ public:
   }
 
 private:
+  /// MinValue before the first record: above every value, so the first
+  /// record lowers it.
+  static constexpr uint64_t NoValue = ~0ull;
+
+  /// Widens \p Bound out to \p V when V lies beyond it in \p Beyond's order.
+  template <typename Cmp>
+  static void widen(std::atomic<uint64_t> &Bound, uint64_t V, Cmp Beyond) {
+    uint64_t Cur = Bound.load(std::memory_order_relaxed);
+    while (Beyond(V, Cur) &&
+           !Bound.compare_exchange_weak(Cur, V, std::memory_order_relaxed))
+      ;
+  }
+
   std::array<std::atomic<uint64_t>, BucketCount> Buckets{};
   std::atomic<uint64_t> MaxValue{0};
+  std::atomic<uint64_t> MinValue{NoValue};
 };
 
 } // namespace solero

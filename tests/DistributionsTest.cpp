@@ -176,8 +176,9 @@ TEST(LatencyHistogram, BucketGeometryInvariantsHold) {
     uint64_t Lo = LatencyHistogram::bucketLowerBound(Idx);
     EXPECT_LE(Lo, V);
     if (Idx + 1 < LatencyHistogram::BucketCount &&
-        LatencyHistogram::bucketLowerBound(Idx + 1) > Lo)
+        LatencyHistogram::bucketLowerBound(Idx + 1) > Lo) {
       EXPECT_LT(V, LatencyHistogram::bucketLowerBound(Idx + 1));
+    }
     uint64_t Mid = LatencyHistogram::bucketMidpoint(Idx);
     double Err = std::abs(static_cast<double>(Mid) - static_cast<double>(V));
     EXPECT_LE(Err, static_cast<double>(V) / 16.0 + 1.0)

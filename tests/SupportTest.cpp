@@ -188,3 +188,35 @@ TEST(LatencyHistogram, QuantileNeverExceedsMax) {
   for (int Q = 0; Q <= 1000; ++Q)
     EXPECT_LE(H.quantile(Q / 1000.0), H.max()) << "q=" << Q / 1000.0;
 }
+
+TEST(LatencyHistogram, QuantileNeverFallsBelowMin) {
+  // A bucket midpoint can also lie below every value in the bucket: a lone
+  // 1007 sits in [992, 1008), whose midpoint is 1000.
+  LatencyHistogram One;
+  EXPECT_EQ(One.min(), 0u);
+  One.record(1007);
+  EXPECT_EQ(One.min(), 1007u);
+  EXPECT_EQ(One.quantile(0.0), 1007u);
+  EXPECT_EQ(One.quantile(0.5), 1007u);
+
+  // The exact min survives a merge (copy) and is cleared by reset.
+  LatencyHistogram H;
+  H.record(5000);
+  H.mergeFrom(One);
+  EXPECT_EQ(LatencyHistogram(H).min(), 1007u);
+  EXPECT_EQ(H.quantile(0.0), 1007u);
+  H.reset();
+  EXPECT_EQ(H.min(), 0u);
+  H.record(2000);
+  EXPECT_EQ(H.min(), 2000u);
+
+  Xoshiro256StarStar R(43);
+  LatencyHistogram Many;
+  for (int I = 0; I < 10000; ++I)
+    Many.record(1000 + R.nextBounded(5'000'000));
+  for (int Q = 0; Q <= 1000; ++Q) {
+    uint64_t V = Many.quantile(Q / 1000.0);
+    EXPECT_GE(V, Many.min()) << "q=" << Q / 1000.0;
+    EXPECT_LE(V, Many.max()) << "q=" << Q / 1000.0;
+  }
+}
