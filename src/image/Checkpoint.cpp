@@ -23,25 +23,23 @@ std::string RestoreReport::summary() const {
   return S;
 }
 
-std::vector<uint8_t> CheckpointContext::checkpointBytes() const {
+ImageBuilder CheckpointContext::collect() const {
   ImageBuilder B;
   for (Resource *R : Resources) {
     ImageWriter W;
     R->beforeCheckpoint(W);
     B.addBlob(R->name(), W.take());
   }
-  return B.build();
+  return B;
+}
+
+std::vector<uint8_t> CheckpointContext::checkpointBytes() const {
+  return collect().build();
 }
 
 bool CheckpointContext::checkpointTo(const std::string &Path,
                                      Diagnostic &Diag) const {
-  ImageBuilder B;
-  for (Resource *R : Resources) {
-    ImageWriter W;
-    R->beforeCheckpoint(W);
-    B.addBlob(R->name(), W.take());
-  }
-  return B.writeFile(Path, Diag);
+  return collect().writeFile(Path, Diag);
 }
 
 RestoreReport CheckpointContext::restoreFrom(const LoadedImage &Img,

@@ -93,6 +93,9 @@ public:
   RestoreReport restoreFromFile(const std::string &Path) const;
 
 private:
+  /// Runs every beforeCheckpoint hook, in registration order.
+  ImageBuilder collect() const;
+
   std::vector<Resource *> Resources;
 };
 

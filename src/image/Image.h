@@ -35,7 +35,7 @@ namespace image {
 /// images of any other version (version skew degrades to cold start by
 /// policy — no cross-version migration code to get wrong).
 inline constexpr uint32_t ImageMagic = 0x534F4C49; // "SOLI"
-inline constexpr uint32_t ImageVersion = 1;
+inline constexpr uint32_t ImageVersion = 2;
 
 /// Why an image failed to load.
 enum class ImageDiag : uint8_t {
@@ -67,16 +67,10 @@ struct Diagnostic {
 class ImageWriter {
 public:
   void u8(uint8_t V) { Bytes.push_back(V); }
-  void u16(uint16_t V) { appendLe(&V, sizeof(V)); }
   void u32(uint32_t V) { appendLe(&V, sizeof(V)); }
   void u64(uint64_t V) { appendLe(&V, sizeof(V)); }
   void i32(int32_t V) { u32(static_cast<uint32_t>(V)); }
   void i64(int64_t V) { u64(static_cast<uint64_t>(V)); }
-  void f64(double V) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, sizeof(Bits));
-    u64(Bits);
-  }
   void str(const std::string &S) {
     u32(static_cast<uint32_t>(S.size()));
     Bytes.insert(Bytes.end(), S.begin(), S.end());
@@ -115,11 +109,6 @@ public:
     read(&V, sizeof(V));
     return V;
   }
-  uint16_t u16() {
-    uint16_t V = 0;
-    read(&V, sizeof(V));
-    return V;
-  }
   uint32_t u32() {
     uint32_t V = 0;
     read(&V, sizeof(V));
@@ -132,12 +121,6 @@ public:
   }
   int32_t i32() { return static_cast<int32_t>(u32()); }
   int64_t i64() { return static_cast<int64_t>(u64()); }
-  double f64() {
-    uint64_t Bits = u64();
-    double V;
-    std::memcpy(&V, &Bits, sizeof(V));
-    return V;
-  }
   std::string str() {
     uint32_t N = u32();
     if (N > remaining()) {

@@ -11,8 +11,6 @@ using namespace solero::image;
 using jit::ClassifiedModule;
 using jit::ClassifiedRegion;
 using jit::Profile;
-using jit::TranslatedMethod;
-using jit::TranslatedModule;
 
 // --- ElisionController -----------------------------------------------------
 
@@ -200,86 +198,25 @@ bool solero::image::readProfile(ImageReader &R, Profile &P) {
   return true;
 }
 
-// --- Translated streams ----------------------------------------------------
-
-void solero::image::writeTranslation(ImageWriter &W,
-                                     const TranslatedModule &T) {
-  W.u32(static_cast<uint32_t>(T.Methods.size()));
-  for (const TranslatedMethod &TM : T.Methods) {
-    W.u32(TM.NumParams);
-    W.u32(TM.NumLocals);
-    W.u32(TM.MaxStack);
-    W.u32(TM.FrameSlots);
-    W.u32(static_cast<uint32_t>(TM.Code.size()));
-    for (const jit::TInst &I : TM.Code) {
-      W.u16(I.Op);
-      W.u16(I.B);
-      W.i32(I.A);
-    }
-    W.u32(static_cast<uint32_t>(TM.PcMap.size()));
-    for (uint32_t Pc : TM.PcMap)
-      W.u32(Pc);
-  }
-  W.u32(T.MaxFrameSlots);
-}
-
-bool solero::image::readTranslation(ImageReader &R, TranslatedModule &T) {
-  uint32_t Methods = R.u32();
-  if (R.failed() || static_cast<uint64_t>(Methods) * 24 > R.remaining())
-    return false;
-  TranslatedModule Out;
-  Out.Methods.resize(Methods);
-  for (uint32_t Id = 0; Id < Methods; ++Id) {
-    TranslatedMethod &TM = Out.Methods[Id];
-    TM.NumParams = R.u32();
-    TM.NumLocals = R.u32();
-    TM.MaxStack = R.u32();
-    TM.FrameSlots = R.u32();
-    uint32_t CodeLen = R.u32();
-    if (R.failed() || static_cast<uint64_t>(CodeLen) * 8 > R.remaining())
-      return false;
-    TM.Code.resize(CodeLen);
-    for (uint32_t I = 0; I < CodeLen; ++I) {
-      TM.Code[I].Op = R.u16();
-      TM.Code[I].B = R.u16();
-      TM.Code[I].A = R.i32();
-    }
-    uint32_t MapLen = R.u32();
-    if (R.failed() || static_cast<uint64_t>(MapLen) * 4 > R.remaining())
-      return false;
-    TM.PcMap.resize(MapLen);
-    for (uint32_t I = 0; I < MapLen; ++I)
-      TM.PcMap[I] = R.u32();
-  }
-  Out.MaxFrameSlots = R.u32();
-  if (R.failed())
-    return false;
-  T = std::move(Out);
-  return true;
-}
-
 // --- InterpreterWarmState --------------------------------------------------
 
 void InterpreterWarmState::beforeCheckpoint(ImageWriter &W) {
   ClassifierCodec::write(W, Interp.classification());
-  writeTranslation(W, Interp.translated());
   writeProfile(W, Interp.profile());
   writeControllerState(W, Interp.soleroLock().controller());
 }
 
 bool InterpreterWarmState::afterRestore(ImageReader &R) {
   ClassifiedModule Classes;
-  TranslatedModule Trans;
   Profile Prof;
   ElisionSnapshot Ctrl;
-  if (!ClassifierCodec::read(R, Classes) || !readTranslation(R, Trans) ||
-      !readProfile(R, Prof) || !readControllerSnapshot(R, Ctrl) || !R.ok())
+  if (!ClassifierCodec::read(R, Classes) || !readProfile(R, Prof) ||
+      !readControllerSnapshot(R, Ctrl) || !R.ok())
     return false;
-  if (!Interp.adoptWarmState(std::move(Classes), std::move(Trans),
-                             std::move(Prof)))
-    return false; // mismatch: the fresh translation stays (cold fallback)
-  // The adopted translation is fully validated even if the controller
-  // snapshot turns out inconsistent, so a rejection here only loses the
-  // policy warmth, not the classification warmth.
+  if (!Interp.adoptWarmState(std::move(Classes), std::move(Prof)))
+    return false; // mismatch: the cold classification and stream stay
+  // The adopted classification is already checked and retranslated even
+  // if the controller snapshot turns out inconsistent, so a rejection
+  // here only loses the policy warmth, not the classification warmth.
   return Interp.soleroLock().controller().restore(Ctrl);
 }

@@ -12,10 +12,11 @@
 ///  - BravoRwLock bias/inhibit/revocation state,
 ///  - the classifier's analysis tables (region kinds, purity, benign-write
 ///    bits, diagnostics) via ClassifierCodec,
-///  - profiles and translated TInst streams,
-///  - a whole Interpreter's warm state (classification + translation +
-///    profile + its lock's controller), re-validated on load by
-///    Interpreter::adoptWarmState with fallback to the fresh translation,
+///  - execution profiles,
+///  - a whole Interpreter's warm state (classification + profile + its
+///    lock's controller), checked on load by Interpreter::adoptWarmState,
+///    which then retranslates from the restoring process's own module and
+///    options; translated code is never read from an image,
 ///  - per-shard lock state of a ShardedKvStore (templated over policy).
 ///
 /// Every read_/restore-side function returns false on malformed input and
@@ -69,9 +70,6 @@ public:
 void writeProfile(ImageWriter &W, const jit::Profile &P);
 bool readProfile(ImageReader &R, jit::Profile &P);
 
-void writeTranslation(ImageWriter &W, const jit::TranslatedModule &T);
-bool readTranslation(ImageReader &R, jit::TranslatedModule &T);
-
 // --- Resource adapters -----------------------------------------------------
 
 /// One adaptive controller as a checkpointable resource.
@@ -109,10 +107,11 @@ private:
   BravoRwLock &Lock;
 };
 
-/// A whole execution engine's warm state: classification, translated
-/// stream, profile, and the SOLERO lock's adaptive controller. On restore
-/// everything is re-validated against the interpreter's own module; any
-/// mismatch keeps the interpreter's fresh cold-start translation.
+/// A whole execution engine's warm state: classification, profile, and the
+/// SOLERO lock's adaptive controller. On restore the classification and
+/// profile are checked against the interpreter's own module and the
+/// threaded stream is retranslated locally; any mismatch keeps the
+/// interpreter's cold-start classification and stream.
 class InterpreterWarmState : public Resource {
 public:
   InterpreterWarmState(std::string Name, jit::Interpreter &I)

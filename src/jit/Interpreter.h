@@ -169,20 +169,19 @@ public:
 
   /// Ends the single-threaded profiling phase: stops baking ProfileCount
   /// instrumentation into the stream and retranslates. Call after
-  /// reclassifyWithProfile() so a checkpoint captures the uninstrumented
-  /// production stream. Quiescent point only.
+  /// reclassifyWithProfile(), before concurrent invokes. Quiescent point
+  /// only.
   void endProfiling();
 
-  /// Adopts warm-image state (image/Resources.h): a classification,
-  /// translated stream, and profile captured by an earlier process.
-  /// Everything is re-validated against this module's verifier facts —
-  /// method count, region boundaries, frame shapes, stream offsets,
-  /// opcode/branch/callee ranges — and on ANY mismatch the call returns
-  /// false and keeps the fresh cold-start state, which *is* the fallback
-  /// retranslation (the constructor already classified and translated).
+  /// Adopts warm-image state (image/Resources.h): a classification and
+  /// profile captured by an earlier process. Both are checked against this
+  /// module — method count, region boundaries, profile shape — and on ANY
+  /// mismatch the call returns false and keeps the cold-start state (the
+  /// constructor already classified and translated). On success the
+  /// threaded stream is retranslated from this module and this engine's
+  /// Options, so no translated code ever comes from an image.
   /// Quiescent point only (no invoke in flight).
-  bool adoptWarmState(ClassifiedModule WarmClasses, TranslatedModule WarmTrans,
-                      Profile WarmProf);
+  bool adoptWarmState(ClassifiedModule WarmClasses, Profile WarmProf);
 
   /// The lock guarding all SOLERO-mode guest regions (its adaptive
   /// controller is part of the warm image).
@@ -279,9 +278,6 @@ private:
   const RegionEntry &regionAt(uint32_t MethodId, uint32_t EnterPc) const;
   void rebuildRegionTables();
   void retranslate();
-  /// Structural validation of a warm-image translated stream against this
-  /// module's verifier facts (adoptWarmState's gate).
-  bool validateWarmTranslation(const TranslatedModule &T) const;
   /// Called before any write or side effect: upgrades the innermost
   /// read-mostly section if one is active (Figure 17).
   void beforeWriteEffect(ExecCtx &EC) {

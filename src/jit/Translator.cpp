@@ -165,9 +165,7 @@ TranslatedModule jit::translateModule(const Module &M,
                                       const TranslatorOptions &Opts) {
   TranslatedModule TM;
   TM.Methods.reserve(M.methodCount());
-  for (uint32_t Id = 0; Id < M.methodCount(); ++Id) {
+  for (uint32_t Id = 0; Id < M.methodCount(); ++Id)
     TM.Methods.push_back(translateMethod(M, Id, Classes, Opts));
-    TM.MaxFrameSlots = std::max(TM.MaxFrameSlots, TM.Methods.back().FrameSlots);
-  }
   return TM;
 }

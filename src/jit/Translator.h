@@ -137,8 +137,6 @@ struct TranslatedMethod {
 /// profile-guided reclassification (the paper's recompilation).
 struct TranslatedModule {
   std::vector<TranslatedMethod> Methods;
-  /// Largest per-method frame, for arena sizing.
-  uint32_t MaxFrameSlots = 0;
 };
 
 struct TranslatorOptions {

@@ -8,9 +8,10 @@
 /// modes (truncation, corruption, version skew — every one a Diagnostic,
 /// never a crash), the CRaC-style checkpoint/restore protocol (ordering,
 /// per-resource degradation, byte-identical round trips), controller and
-/// BRAVO state rehydration, warm-translation adoption with fallback to
-/// retranslation, the JSON-emitter regressions the warm_restart probe row
-/// guards in CI, and a TSan-checked snapshot under live readers.
+/// BRAVO state rehydration, warm classification/profile adoption (the
+/// restored engine retranslates under its own options; a mismatched module
+/// keeps its cold state), the JSON-emitter regressions the warm_restart
+/// probe row guards in CI, and TSan-checked runs under live threads.
 ///
 /// Every suite is prefixed "Image" so the CI TSan job's gtest_filter
 /// picks all of them up with a single Image* pattern.
@@ -75,35 +76,32 @@ SoleroConfig tinyAdaptiveConfig() {
 TEST(ImageFormat, PrimitivesRoundTrip) {
   ImageWriter W;
   W.u8(0xAB);
-  W.u16(0xBEEF);
   W.u32(0xDEADBEEFu);
   W.u64(0x0123456789ABCDEFull);
   W.i32(-42);
   W.i64(-1234567890123ll);
-  W.f64(2.5);
   W.str("solero");
   std::vector<uint8_t> Bytes = W.take();
 
   ImageReader R(Bytes);
   EXPECT_EQ(R.u8(), 0xAB);
-  EXPECT_EQ(R.u16(), 0xBEEF);
   EXPECT_EQ(R.u32(), 0xDEADBEEFu);
   EXPECT_EQ(R.u64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(R.i32(), -42);
   EXPECT_EQ(R.i64(), -1234567890123ll);
-  EXPECT_EQ(R.f64(), 2.5);
   EXPECT_EQ(R.str(), "solero");
   EXPECT_TRUE(R.ok());
 }
 
 TEST(ImageFormat, ReaderFailureIsSticky) {
   ImageWriter W;
-  W.u16(7);
+  W.u8(7);
+  W.u8(9);
   std::vector<uint8_t> Bytes = W.take();
   ImageReader R(Bytes);
   EXPECT_EQ(R.u64(), 0u); // 2 bytes cannot satisfy 8
   EXPECT_TRUE(R.failed());
-  EXPECT_EQ(R.u16(), 0u); // sticky: even the valid prefix reads as zero
+  EXPECT_EQ(R.u8(), 0u); // sticky: even the valid prefix reads as zero
   EXPECT_FALSE(R.ok());
   EXPECT_EQ(R.remaining(), 0u);
 }
@@ -458,6 +456,24 @@ jit::Module buildMostlyGuest() {
   return M;
 }
 
+/// Expects \p Got and \p Want to be the same threaded program: per method,
+/// the same TInst (Op, A, B) sequence and the same PcMap.
+void expectSameStream(const jit::TranslatedModule &Got,
+                      const jit::TranslatedModule &Want) {
+  ASSERT_EQ(Got.Methods.size(), Want.Methods.size());
+  for (std::size_t Id = 0; Id < Want.Methods.size(); ++Id) {
+    const jit::TranslatedMethod &G = Got.Methods[Id];
+    const jit::TranslatedMethod &W = Want.Methods[Id];
+    ASSERT_EQ(G.Code.size(), W.Code.size()) << "method " << Id;
+    for (std::size_t I = 0; I < W.Code.size(); ++I) {
+      EXPECT_EQ(G.Code[I].Op, W.Code[I].Op) << "method " << Id << " @" << I;
+      EXPECT_EQ(G.Code[I].A, W.Code[I].A) << "method " << Id << " @" << I;
+      EXPECT_EQ(G.Code[I].B, W.Code[I].B) << "method " << Id << " @" << I;
+    }
+    EXPECT_EQ(G.PcMap, W.PcMap) << "method " << Id;
+  }
+}
+
 TEST(ImageInterp, RestoredWarmStateExecutesAndElides) {
   RuntimeContext Ctx(quietConfig());
   jit::Interpreter::Options Warm;
@@ -486,6 +502,8 @@ TEST(ImageInterp, RestoredWarmStateExecutesAndElides) {
   ASSERT_TRUE(Rep.allWarm(Rest.resourceCount())) << Rep.summary();
   // The restored engine carries the profiled classification...
   EXPECT_EQ(Fresh.classification().regions(0)[0].Kind, jit::RegionKind::ReadMostly);
+  // ...rebuilds the donor's stream locally (same options on both sides)...
+  expectSameStream(Fresh.translated(), Donor.translated());
 
   // ...executes identically to the donor (differential check)...
   jit::GuestObject *FObj = Fresh.allocateObject();
@@ -545,6 +563,60 @@ TEST(ImageInterp, MismatchedModuleFallsBackToRetranslation) {
   jit::GuestObject *VObj = Victim.allocateObject();
   VObj->F[0].write(21);
   EXPECT_EQ(Victim.invoke("other", {jit::Value::ofRef(VObj)}).asInt(), 21);
+}
+
+TEST(ImageInterp, RestoredStreamFollowsRestoringOptions) {
+  RuntimeContext Ctx(quietConfig());
+  // The donor is checkpointed mid-profiling: its own stream is unfused
+  // and instrumented with ProfileCount.
+  jit::Interpreter::Options Profiling;
+  Profiling.CollectProfile = true;
+  Profiling.FuseSuperinstructions = false;
+  jit::Interpreter Donor(Ctx, buildMostlyGuest(), Profiling);
+  jit::GuestObject *DObj = Donor.allocateObject();
+  for (int I = 0; I < 100; ++I)
+    Donor.invoke("mostly", {jit::Value::ofRef(DObj), jit::Value::ofInt(0)});
+  Donor.reclassifyWithProfile();
+  CheckpointContext Ckpt;
+  InterpreterWarmState DonorRes("jit.warm", Donor);
+  Ckpt.registerResource(&DonorRes);
+  std::vector<uint8_t> Bytes = Ckpt.checkpointBytes();
+
+  jit::Interpreter Fresh(Ctx, buildMostlyGuest(), jit::Interpreter::Options());
+  CheckpointContext Rest;
+  InterpreterWarmState FreshRes("jit.warm", Fresh);
+  Rest.registerResource(&FreshRes);
+  RestoreReport Rep = Rest.restoreBytes(Bytes);
+  ASSERT_TRUE(Rep.allWarm(Rest.resourceCount())) << Rep.summary();
+  ASSERT_EQ(Fresh.classification().regions(0)[0].Kind,
+            jit::RegionKind::ReadMostly);
+
+  // The stream follows the restoring engine's options, not the donor's.
+  std::size_t ProfileCounts = 0;
+  for (const jit::TranslatedMethod &TM : Fresh.translated().Methods)
+    for (const jit::TInst &I : TM.Code)
+      ProfileCounts += I.op() == jit::TOp::ProfileCount;
+  EXPECT_EQ(ProfileCounts, 0u);
+  jit::TranslatorOptions Production;
+  Production.Fuse = true;
+  Production.Profile = false;
+  expectSameStream(Fresh.translated(),
+                   jit::translateModule(Fresh.module(), Fresh.classification(),
+                                        Production));
+
+  // Concurrent clients leave the restored profile alone (an instrumented
+  // stream would bump it unsynchronised from every thread).
+  const std::vector<std::vector<uint64_t>> ProfBefore = Fresh.profile().Counts;
+  jit::GuestObject *FObj = Fresh.allocateObject();
+  std::vector<std::thread> Clients;
+  for (int T = 0; T < 2; ++T)
+    Clients.emplace_back([&] {
+      for (int I = 0; I < 200; ++I)
+        Fresh.invoke("mostly", {jit::Value::ofRef(FObj), jit::Value::ofInt(0)});
+    });
+  for (std::thread &C : Clients)
+    C.join();
+  EXPECT_EQ(Fresh.profile().Counts, ProfBefore);
 }
 
 // --- JSON emitter regressions ----------------------------------------------

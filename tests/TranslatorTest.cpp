@@ -184,5 +184,4 @@ TEST(Translator, FrameFactsMatchVerifier) {
   ASSERT_TRUE(V.Ok);
   EXPECT_EQ(TM.Methods[0].MaxStack, V.MaxStack);
   EXPECT_EQ(TM.Methods[0].FrameSlots, M.method(0).NumLocals + V.MaxStack);
-  EXPECT_EQ(TM.MaxFrameSlots, TM.Methods[0].FrameSlots);
 }
