@@ -5,13 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Quantifies the memory-ordering cost the paper discusses in Section 3.4:
-/// the read-only fast path's entry fence (PowerPC `sync`; a StoreLoad
-/// fence on x86) versus the conventional lock's acquire-only entry. The
+/// the read-only fast path's Java-semantics entry ordering versus the
+/// conventional lock's acquire-only entry (the WeakBarrier ablation). The
 /// paper measured 20%/7%/5% ordering overhead on HashMap/TreeMap/
-/// SPECjbb (Power6); this ablation reports the same decomposition for
-/// this host, plus the raw primitive costs (fence vs CAS) that decide
-/// whether SOLERO's single-thread advantage materializes on a given
-/// microarchitecture (EXPERIMENTS.md discusses the x86-vs-Power story).
+/// SPECjbb (Power6), paying for a `sync` at every entry. Here the entry
+/// is a seq_cst load paired with seq_cst releases (DESIGN.md §8), which
+/// on x86-64 is the same MOV as the acquire load, so the overhead column
+/// should read zero within noise. The raw primitive rows compare that
+/// entry with the paper's fence-based one and with the CAS pair it saves
+/// (EXPERIMENTS.md discusses the x86-vs-Power story).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +56,11 @@ int main(int Argc, char **Argv) {
     T.addRow({"relaxed load", TablePrinter::num(primitiveNs([&](int) {
                 Local += Word.load(std::memory_order_relaxed);
               }))});
-    T.addRow({"acquire load + seq_cst fence (SOLERO read entry)",
+    T.addRow({"seq_cst load (SOLERO read entry)",
+              TablePrinter::num(primitiveNs([&](int) {
+                Local += Word.load(std::memory_order_seq_cst);
+              }))});
+    T.addRow({"acquire load + seq_cst fence (paper Sec. 3.4 entry)",
               TablePrinter::num(primitiveNs([&](int) {
                 Local += Word.load(std::memory_order_acquire);
                 std::atomic_thread_fence(std::memory_order_seq_cst);

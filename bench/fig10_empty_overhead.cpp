@@ -6,7 +6,7 @@
 ///
 /// Figure 10: lock overhead of an empty synchronized block on one thread.
 /// Columns: Lock (conventional), RWLock, SOLERO, Unelided-SOLERO
-/// (elision disabled), WeakBarrier-SOLERO (conventional entry fence).
+/// (elision disabled), WeakBarrier-SOLERO (conventional acquire entry).
 /// The paper reports execution time normalized to Lock: SOLERO cuts the
 /// overhead by ~50%; Unelided-SOLERO costs at most 1.4% over Lock; RWLock
 /// is a ~3x multiple of Lock.

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Exhaustively explores the lock-word protocol models (src/verify) under
-/// SC and TSO and reports a deterministic one-line summary per run plus,
+/// SC, TSO and RA and reports a deterministic one-line summary per run plus,
 /// on a violation, the BFS-minimized counterexample trace. No timing in
 /// the output — two invocations with the same flags are byte-identical,
 /// which CI exploits with a `cmp` determinism check.
@@ -13,11 +13,12 @@
 ///   model_check --all                        # every shipped model, SC+TSO
 ///   model_check --model=solero --mem=tso
 ///   model_check --model=solero --variant=blind-store-release   # exits 1
+///   model_check --model=solero-sb --variant=plain-release --mem=all # exits 1
 ///   model_check --model=bravo --variant=no-revocation-fence --mem=tso
 ///   model_check --model=dekker --variant=no-fence --mem=tso
 ///
-/// Flags: --mem=sc|tso|both (default both), --variant=shipped|... (model
-/// specific, see src/verify/Models.h), --por=0 disables the sleep-set
+/// Flags: --mem=sc|tso|ra|both|all (default both = SC and TSO; all adds
+/// RA), --variant=shipped|... (model specific, see src/verify/Models.h), --por=0 disables the sleep-set
 /// reduction, --depth-bound=N / --max-transitions=N override the valves,
 /// --quiet suppresses traces.
 ///
@@ -51,6 +52,16 @@ std::unique_ptr<ProtocolModel> buildModel(const std::string &Name,
     else if (Variant != "shipped")
       return nullptr;
     return makeSoleroModel(C);
+  }
+  if (Name == "solero-sb") {
+    SoleroSbModelConfig C;
+    if (Variant == "entry-fence")
+      C.Variant = SoleroSbVariant::EntryFence;
+    else if (Variant == "plain-release")
+      C.Variant = SoleroSbVariant::PlainRelease;
+    else if (Variant != "shipped")
+      return nullptr;
+    return makeSoleroSbModel(C);
   }
   if (Name == "tasuki") {
     TasukiModelConfig C;
@@ -98,7 +109,7 @@ int main(int Argc, char **Argv) {
 
   std::vector<std::string> Models;
   if (All) {
-    Models = {"solero", "tasuki", "bravo"};
+    Models = {"solero", "solero-sb", "tasuki", "bravo"};
   } else {
     Models = {ModelName};
   }
@@ -107,8 +118,12 @@ int main(int Argc, char **Argv) {
     Mems = {MemSemantics::SC};
   else if (Mem == "tso")
     Mems = {MemSemantics::TSO};
+  else if (Mem == "ra")
+    Mems = {MemSemantics::RA};
   else if (Mem == "both")
     Mems = {MemSemantics::SC, MemSemantics::TSO};
+  else if (Mem == "all")
+    Mems = {MemSemantics::SC, MemSemantics::TSO, MemSemantics::RA};
   else {
     std::fprintf(stderr, "model_check: unknown --mem=%s\n", Mem.c_str());
     return 3;

@@ -214,6 +214,9 @@ int main(int Argc, char **Argv) {
   std::printf("warm-restart acceptance: %s\n",
               WarmFromWindowZero ? "PASS (restored run peaks in window 0)"
                                  : "FAIL");
+  // The exit status carries the verdict, so a rejected --restore image
+  // (a cold run) fails the checkpoint/restore round trip.
+  bool Failed = !WarmFromWindowZero;
 
   // --- Fallback demo: corrupted and truncated images degrade cleanly -----
   if (RestPath.empty()) {
@@ -245,8 +248,12 @@ int main(int Argc, char **Argv) {
     std::printf("after rejected restores the engine still runs cold: "
                 "%.0f ops/s, elide/op %.3f\n",
                 Alive.R.OpsPerSec, Alive.ElidePerOp);
-    if (BadRep.ImageOk || ShortRep.ImageOk)
+    // Rejecting both images is the expected outcome; accepting either is
+    // a validation failure.
+    if (BadRep.ImageOk || ShortRep.ImageOk) {
       std::fprintf(stderr, "error: bad image validated as OK\n");
+      Failed = true;
+    }
   }
 
   // Schema-probe row: exercises the JSON emitter's non-finite guard and
@@ -259,5 +266,6 @@ int main(int Argc, char **Argv) {
            {{"guard_zero_a", std::numeric_limits<double>::quiet_NaN()},
             {"guard_zero_b", std::numeric_limits<double>::infinity()}});
 
-  return Json.write(Env.JsonPath) ? 0 : 1;
+  bool Written = Json.write(Env.JsonPath);
+  return Written && !Failed ? 0 : 1;
 }

@@ -10,7 +10,7 @@
 ///
 /// The paper's fixed policy (one attempt, unconditional fallback)
 /// makes elision pure overhead in write-heavy phases: every read section
-/// pays the entry fence, a doomed speculative execution, and the real
+/// pays a doomed speculative execution and the real
 /// acquisition on top (Figure 15 shows the win collapsing as the failure
 /// ratio rises). Following the adaptive-bias recipe of BRAVO and Fissile
 /// locks (Dice & Kogan), each lock carries an ElisionStats cell — relaxed

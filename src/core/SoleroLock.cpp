@@ -54,8 +54,9 @@ void SoleroLock::slowExitWrite(ObjectHeader &H, ThreadState &TS, uint64_t V1) {
   // store may clobber an FLC bit set after the load above, but that is
   // harmless here because the notify below is unconditional and ordered
   // after any park decision by the monitor mutex.
+  // seq_cst like every SOLERO release (DESIGN.md §8): an XCHG on x86-64.
   SOLERO_INJECT(SoleroSlowExitRelease);
-  H.word().store(V1 + CounterUnit, std::memory_order_release);
+  H.word().store(V1 + CounterUnit, std::memory_order_seq_cst);
   ++TS.Counters.LockWordStores;
   Ctx.monitors().monitorFor(H).notifyFlatRelease();
 }
@@ -65,7 +66,7 @@ SoleroLock::ReadEntry SoleroLock::slowReadEnter(ObjectHeader &H,
   // Figure 8. Invoked when the entry load saw (v & 0x7) != 0.
   const SpinTiers &Tiers = Ctx.config().Tiers;
   for (;;) {
-    uint64_t V = H.word().load(std::memory_order_acquire);
+    uint64_t V = entryLoad(H); // a free V returned below is validated
     if (soleroHeldBy(V, TS.tidBits())) {
       // test_recursion: the thread owns the flat lock; take it recursively
       // (obj->lock += 0x8) and run the section non-speculatively.
@@ -94,7 +95,7 @@ SoleroLock::ReadEntry SoleroLock::slowReadEnter(ObjectHeader &H,
     // lock to be released (Figure 8 lines 6-17).
     for (int I = 0; I < Tiers.Tier3; ++I) {
       for (int J = 0; J < Tiers.Tier2; ++J) {
-        V = H.word().load(std::memory_order_acquire);
+        V = entryLoad(H);
         if (soleroIsFree(V))
           return {V, false};
         if ((V & 0x3) != 0)
@@ -147,11 +148,11 @@ bool SoleroLock::slowReadExit(ObjectHeader &H, ThreadState &TS, uint64_t V) {
       uint64_t Expected = W;
       ++TS.Counters.AtomicRmws;
       if (H.word().compare_exchange_strong(Expected, V + CounterUnit,
-                                           std::memory_order_release,
+                                           std::memory_order_seq_cst,
                                            std::memory_order_relaxed))
         return true;
     }
-    H.word().store(V + CounterUnit, std::memory_order_release);
+    H.word().store(V + CounterUnit, std::memory_order_seq_cst);
     ++TS.Counters.LockWordStores;
     Ctx.monitors().monitorFor(H).notifyFlatRelease();
     return true;

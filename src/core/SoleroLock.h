@@ -23,6 +23,14 @@
 /// speculationCheckpoint(). Section 5's read-mostly extension upgrades to
 /// the lock mid-section with a CAS on the recorded word (Figure 17).
 ///
+/// Section 3.4's StoreLoad fence at read entry is not emitted. Its job,
+/// sequential consistency for a write section on one lock followed by an
+/// elided read on another, is done instead by the two ends of that
+/// Dekker pair: the entry load is seq_cst, and so is every operation that
+/// releases a hold (the release CASes, the FLC plain-store releases and
+/// deflation). DESIGN.md §8 gives the ordering contract and its proof;
+/// the solero-sb model (src/verify) checks it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SOLERO_CORE_SOLEROLOCK_H
@@ -46,15 +54,19 @@
 
 namespace solero {
 
-/// Memory-fence selection for the read-only fast path (paper Section 3.4).
+/// Memory ordering of the read-only fast path (paper Section 3.4).
 enum class BarrierMode {
-  /// The correct fences: an entry StoreLoad fence (PowerPC `sync`; an
-  /// mfence on x86) ordering pre-section stores before the speculative
-  /// loads, plus the Boehm-style acquire fence before validation loads.
+  /// Java lock semantics. The entry load is seq_cst and pairs with the
+  /// seq_cst releases, so a write section on one lock followed by an
+  /// elided read on another stays sequentially consistent; the Boehm-style
+  /// acquire fence precedes the validation load. No fence is emitted at
+  /// entry: on x86-64 the entry load is a plain MOV, on POWER it carries
+  /// the paper's leading `sync`.
   Correct,
-  /// The paper's "WeakBarrier-SOLERO" ablation: reuse the conventional
-  /// lock's cheaper entry ordering (acquire only). Violates Java lock
-  /// ordering semantics; measures what the extra fence costs.
+  /// The paper's "WeakBarrier-SOLERO" ablation: an acquire entry load, the
+  /// conventional lock's cheaper ordering, and no StoreLoad anywhere on
+  /// the read path. Violates Java lock ordering semantics across locks.
+  /// On x86-64 both modes now compile to the same read path.
   Weak,
 };
 
@@ -170,8 +182,9 @@ public:
     if ((V2 & lockword::LowBitsMask) == lockword::SoleroLockBit) {
       SOLERO_INJECT(SoleroExitWriteRelease);
       ++TS.Counters.AtomicRmws;
+      // seq_cst, not release: the other end of entryLoad's Dekker pair.
       if (H.word().compare_exchange_strong(V2, V1 + lockword::CounterUnit,
-                                           std::memory_order_release,
+                                           std::memory_order_seq_cst,
                                            std::memory_order_relaxed))
         return;
     }
@@ -301,7 +314,7 @@ public:
 
   /// Figure 7 lines 1-3 plus Figure 8.
   ReadEntry readEnter(ObjectHeader &H, ThreadState &TS) {
-    uint64_t V = H.word().load(std::memory_order_acquire);
+    uint64_t V = entryLoad(H);
     if (lockword::soleroIsFree(V))
       return {V, false};
     return slowReadEnter(H, TS);
@@ -339,13 +352,15 @@ private:
   void slowExitWrite(ObjectHeader &H, ThreadState &TS, uint64_t V1);
   ReadEntry slowReadEnter(ObjectHeader &H, ThreadState &TS);
 
-  /// The StoreLoad fence at the start of a speculative section (Section
-  /// 3.4: PowerPC `sync` after the entry load; mfence on x86).
-  void entryFence() const {
+  /// The lock-word load a speculation validates against (Section 3.4).
+  /// Correct mode makes it seq_cst: it follows every seq_cst release in
+  /// the single total order, which is what keeps a write section on
+  /// another lock, released just before, ordered before this section's
+  /// reads. Weak mode uses the conventional lock's acquire load.
+  uint64_t entryLoad(ObjectHeader &H) const {
     if (Config.Barriers == BarrierMode::Correct)
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-    // Weak mode: the acquire load in readEnter is all the ordering the
-    // conventional lock would have used (isync-equivalent).
+      return H.word().load(std::memory_order_seq_cst);
+    return H.word().load(std::memory_order_acquire);
   }
 
   /// Consults the adaptive controller (inert pass-through when off) for
@@ -422,7 +437,7 @@ private:
     if (!D.Speculate) {
       // Controller verdict (Disabled): the decayed failure ratio says
       // speculation here is pure overhead right now — acquire for real
-      // without paying the entry fence and a doomed execution.
+      // without paying for a doomed execution.
       ++TS.Counters.ElisionSkips;
       uint64_t V1 = slowEnterWrite(H, TS);
       return runHoldingRead(H, TS, V1, std::forward<Fn>(F));
@@ -442,7 +457,6 @@ private:
       // the happy path free of spills across the landing-pad region).
       noteAttempt(TS, D, Failures);
       uint64_t Writes = TS.Counters.WriteEntries;
-      entryFence();
       std::size_t Depth = TS.pushRead(H, E.V);
       ReadGuard G(/*Speculative=*/true);
       try {
@@ -516,7 +530,6 @@ private:
 
       noteAttempt(TS, D, Failures);
       uint64_t Writes = TS.Counters.WriteEntries;
-      entryFence();
       std::size_t Depth = TS.pushRead(H, E.V);
       WriteIntent W(H, TS, E.V, /*Holding=*/false, Depth);
       try {

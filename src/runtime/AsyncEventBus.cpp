@@ -12,7 +12,9 @@ using namespace solero;
 
 void AsyncEventBus::start(std::chrono::microseconds Period) {
   bool Expected = false;
-  if (!Running.compare_exchange_strong(Expected, true))
+  if (!Running.compare_exchange_strong(Expected, true,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
     return;
   Worker = std::thread([this, Period] {
     while (Running.load(std::memory_order_acquire)) {
@@ -24,7 +26,7 @@ void AsyncEventBus::start(std::chrono::microseconds Period) {
 }
 
 void AsyncEventBus::stop() {
-  if (!Running.exchange(false))
+  if (!Running.exchange(false, std::memory_order_acq_rel))
     return;
   if (Worker.joinable())
     Worker.join();

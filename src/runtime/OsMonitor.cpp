@@ -104,11 +104,17 @@ void OsMonitor::fatExit(ObjectHeader &H, ThreadState &TS) {
       // Nobody is parked or waiting: deflate back to flat mode, publishing
       // the restore word (SOLERO: the counter incremented at inflation,
       // Section 3.2). A non-empty wait set pins the monitor in fat mode —
-      // its sleepers must be reachable by future notify calls.
+      // its sleepers must be reachable by future notify calls. seq_cst
+      // like every SOLERO release: an elided read on another lock may
+      // follow (DESIGN.md §8).
       SOLERO_INJECT(MonitorDeflate);
-      H.word().store(RestoreWord, std::memory_order_release);
+      H.word().store(RestoreWord, std::memory_order_seq_cst);
       ++TS.Counters.LockWordStores;
       ++TS.Counters.Deflations;
+    } else {
+      // Still inflated, so no lock-word store releases this hold; the
+      // fence stands in for the seq_cst release (DESIGN.md §8).
+      std::atomic_thread_fence(std::memory_order_seq_cst);
     }
   }
   Cv.notify_all();
@@ -161,8 +167,10 @@ void OsMonitor::inflateHeldByOwner(ObjectHeader &H, ThreadState &TS,
   RestoreWord = RestoreW;
   // The caller owns the flat lock, so a blind store cannot lose an update
   // other than a concurrently-set FLC bit; FLC parkers use timed waits and
-  // re-examine the (now inflated) word when they wake.
+  // re-examine the (now inflated) word when they wake. Not a release: the
+  // caller keeps holding, now through the monitor.
   SOLERO_INJECT(MonitorInflate);
+  // atomics-lint: allow(held-state inflation hand-off, not a release)
   H.word().store(inflatedWord(), std::memory_order_release);
   ++TS.Counters.LockWordStores;
   ++TS.Counters.Inflations;

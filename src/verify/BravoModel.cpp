@@ -196,7 +196,7 @@ private:
       // Atomic conditional increment (the real slow path is a CAS loop);
       // blocked while the writer bit is set.
       *Label = "r.underlying-acq";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VULock))
         return false;
       if ((M.load(VULock) & WriterBit) != 0)
         return false;
@@ -218,7 +218,7 @@ private:
     }
     case PcRdURel: {
       *Label = "r.underlying-rel";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VULock))
         return false;
       M.rmwAdd(VULock, -1);
       Pc = PcRdDone;
@@ -237,7 +237,7 @@ private:
     case PcWrUAcq: {
       // Guarded CAS: blocked while any reader holds the underlying lock.
       *Label = "w.underlying-acq";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VULock))
         return false;
       if (!M.cas(VULock, 0, WriterBit))
         return false;
@@ -293,7 +293,7 @@ private:
     }
     case PcWrRel: {
       *Label = "w.underlying-rel";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VULock))
         return false;
       M.cas(VULock, WriterBit, 0);
       Pc = PcWrDone;

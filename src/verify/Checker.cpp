@@ -62,7 +62,7 @@ unsigned enumerate(const ProtocolModel &M, MemSemantics Sem, const McState &S,
     O.Writes = Mc.writeMask();
     ++N;
   }
-  if (Sem == MemSemantics::TSO) {
+  if (Sem != MemSemantics::SC) {
     for (unsigned Tid = 0; Tid < M.threads(); ++Tid) {
       if (S.BufLen[Tid] == 0)
         continue;

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The explorer behind `bench/model_check` (DESIGN.md §18): exhaustive DFS
-/// over all interleavings of a ProtocolModel's threads under SC or TSO,
+/// over all interleavings of a ProtocolModel's threads under SC, TSO or RA,
 /// with full-state hashing and an optional sleep-set partial-order
 /// reduction. Safety oracles run at every visited state; a terminal state
 /// with blocked-but-unfinished threads is reported as a lost wakeup. On a
@@ -45,7 +45,7 @@ struct CheckConfig {
 /// One scheduled action in a counterexample.
 struct TraceStep {
   uint8_t Tid;
-  bool Flush; ///< a TSO store-buffer flush, not a program action
+  bool Flush; ///< a store-buffer flush (TSO/RA), not a program action
   const char *Label;
 };
 
@@ -70,7 +70,7 @@ struct CheckResult {
 /// verdict, same counts, same counterexample.
 CheckResult checkModel(const ProtocolModel &M, const CheckConfig &C);
 
-/// Applies one TSO store-buffer flush (oldest entry) of \p Tid to \p S.
+/// Applies one store-buffer flush (oldest entry) of \p Tid to \p S.
 /// Exposed for trace replay; returns false when the buffer is empty.
 bool applyFlush(McState &S, unsigned Tid);
 

@@ -23,6 +23,10 @@
 ///     sit in store buffers, each side reads the other's stale value, and
 ///     reader + writer end up inside the critical section together. Under
 ///     SC the variant still passes — the divergence is the point.
+///   - SoleroSbVariant::PlainRelease: release-order SOLERO releases with
+///     no entry fence. Under RA a thread's acquiring CAS, data store and
+///     release all wait in its buffer while its elided read on the other
+///     lock runs, and both threads miss each other's writes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +42,7 @@ namespace verify {
 
 /// SOLERO lock-word protocol (paper Figs. 5-9): two writers plus one
 /// read-only thread that attempts a speculative (elided) read section with
-/// the §3.4 entry fence and version validation, falling back to a real
+/// a seq_cst entry load and version validation, falling back to a real
 /// acquire after a failure. Oracles: writer mutual exclusion, validated
 /// reads are untorn, no lost wakeup (terminal-state check).
 struct SoleroModelConfig {
@@ -47,6 +51,22 @@ struct SoleroModelConfig {
   bool BlindStoreRelease = false; ///< seeded PR-3 release race
 };
 std::unique_ptr<ProtocolModel> makeSoleroModel(SoleroModelConfig C = {});
+
+/// Two-lock store buffering across SOLERO sections (SoleroSbModel.cpp,
+/// DESIGN.md §8): each of two threads runs a writing section on one lock,
+/// then an elided read section on the other; a third may set FLC on
+/// either lock, sending its release down the plain-store slow path.
+/// Oracle: both elided sections validated and both missed the other
+/// thread's write (r0 = r1 = 0).
+///   - Shipped: seq_cst releases and entry load, no entry fence.
+///   - EntryFence: release-order releases plus the §3.4 entry fence.
+///   - PlainRelease: release-order releases, no fence (seeded bug: fails
+///     under RA; SC and TSO cannot show it).
+enum class SoleroSbVariant : uint8_t { Shipped, EntryFence, PlainRelease };
+struct SoleroSbModelConfig {
+  SoleroSbVariant Variant = SoleroSbVariant::Shipped;
+};
+std::unique_ptr<ProtocolModel> makeSoleroSbModel(SoleroSbModelConfig C = {});
 
 /// Tasuki flat lock with FLC-bit contention handoff and inflation: a
 /// contender that parked at least once inflates the free word to a fat

@@ -14,18 +14,20 @@
 //            TidShift; bumped by one on every release)
 //
 // Writers run acquire / store X / store Y / release; the release fast path
-// is the PR-3 CAS that fails when a contender set FLC concurrently, routing
-// to the slow store + notify. The BlindStoreRelease variant re-introduces
+// is a seq_cst CAS that fails when a contender set FLC concurrently, routing
+// to the slow seq_cst store + notify. The BlindStoreRelease variant re-introduces
 // the seeded bug: release decides from a stale word load and publishes with
 // a blind store, so an FLC bit set between the load and the store is
 // clobbered and the parked contender sleeps forever (the checker reports
 // the terminal state as a lost wakeup).
 //
-// The reader thread attempts one speculative section: entry word load,
-// seq_cst entry fence (§3.4), loads of X and Y, then validation that the
-// word is unchanged; on a busy word or failed validation it falls back to
-// a real acquire through the writer machine. The torn-read oracle fires if
-// a *validated* section observed X != Y.
+// The reader thread attempts one speculative section: seq_cst entry word
+// load (no entry fence: the shipped ordering, DESIGN.md §8), loads of X
+// and Y, then validation that the word is unchanged; on a busy word or
+// failed validation it falls back to a real acquire through the writer
+// machine. The torn-read oracle fires if a *validated* section observed
+// X != Y. The cross-lock ordering the seq_cst pair exists for is checked
+// by the two-lock solero-sb model (SoleroSbModel.cpp).
 //
 // Parking is modeled with a signal generation counter SIG (notify_all
 // semantics: every parked thread whose recorded generation differs from
@@ -71,7 +73,6 @@ enum : uint8_t {
   PcParkArm,
   PcParked,
   PcRdLoad,
-  PcRdFence,
   PcRdX,
   PcRdY,
   PcRdValidate,
@@ -125,7 +126,7 @@ public:
     }
     case PcEnterCas: {
       *Label = "enter.cas";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VWord))
         return false;
       Pc = M.cas(VWord, L[LV1], heldWord(Tid)) ? PcCs1 : PcEnterLoad;
       return true;
@@ -168,10 +169,11 @@ public:
     }
     case PcReleaseCas: {
       *Label = "rel.cas";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VWord, McOrder::SeqCst))
         return false;
       uint8_t Free = freeWord(static_cast<uint8_t>((L[LV1] >> 4) + 1));
-      Pc = M.cas(VWord, heldWord(Tid), Free) ? PcDone : PcSlowStore;
+      Pc = M.cas(VWord, heldWord(Tid), Free, McOrder::SeqCst) ? PcDone
+                                                              : PcSlowStore;
       return true;
     }
     case PcBlindStore: {
@@ -185,14 +187,14 @@ public:
     case PcSlowStore: {
       *Label = "rel.slow-store";
       uint8_t Free = freeWord(static_cast<uint8_t>((L[LV1] >> 4) + 1));
-      if (!M.store(VWord, Free))
+      if (!M.store(VWord, Free, McOrder::SeqCst))
         return false;
       Pc = PcNotify;
       return true;
     }
     case PcNotify: {
       *Label = "rel.notify";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VSig))
         return false;
       M.rmwAdd(VSig, 1);
       Pc = PcDone;
@@ -211,7 +213,7 @@ public:
     }
     case PcFlcCas: {
       *Label = "flc.cas";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VWord))
         return false;
       Pc = M.cas(VWord, L[LV2], L[LV2] | FlcBit) ? PcParkArm : PcContendLoad;
       return true;
@@ -244,17 +246,10 @@ public:
       uint8_t V = M.load(VWord);
       if (isFree(V)) {
         L[LV1] = V;
-        Pc = PcRdFence;
+        Pc = PcRdX;
       } else {
         Pc = PcEnterLoad; // busy word: fall back to a real acquire
       }
-      return true;
-    }
-    case PcRdFence: {
-      *Label = "spec.fence";
-      if (!M.fence())
-        return false;
-      Pc = PcRdX;
       return true;
     }
     case PcRdX: {

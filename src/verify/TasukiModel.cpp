@@ -108,7 +108,7 @@ public:
     }
     case PcEnterCas: {
       *Label = "enter.cas";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VWord))
         return false;
       Pc = M.cas(VWord, 0, flatHeld(Tid)) ? PcCs1 : PcEnterLoad;
       return true;
@@ -139,7 +139,7 @@ public:
     }
     case PcReleaseCas: {
       *Label = "rel.cas";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VWord))
         return false;
       Pc = M.cas(VWord, flatHeld(Tid), 0) ? PcDone : PcSlowStore;
       return true;
@@ -160,7 +160,7 @@ public:
     }
     case PcNotify: {
       *Label = "rel.notify";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VSig))
         return false;
       M.rmwAdd(VSig, 1);
       Pc = PcDone;
@@ -179,7 +179,7 @@ public:
     }
     case PcFlcCas: {
       *Label = "flc.cas";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VWord))
         return false;
       Pc = M.cas(VWord, L[LV], L[LV] | FlcBit) ? PcParkArm : PcContendLoad;
       return true;
@@ -208,7 +208,7 @@ public:
     }
     case PcInflateCas: {
       *Label = "inflate.cas";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VWord))
         return false;
       Pc = M.cas(VWord, 0, InflBit) ? PcFatAcq : PcEnterLoad;
       return true;
@@ -217,7 +217,7 @@ public:
       // Guarded CAS: enabled only while the fat owner cell is free (the
       // monitor's queue is abstracted into scheduler enabledness).
       *Label = "fat.acquire";
-      if (!M.rmwReady())
+      if (!M.rmwReady(VFatOwn))
         return false;
       if (!M.cas(VFatOwn, 0, static_cast<uint8_t>(Tid + 1)))
         return false;

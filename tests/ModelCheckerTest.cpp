@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// The checker checking the checker: unit tests for the model-checking
-/// substrate (state identity/hash, TSO store-buffer machine), soundness of
-/// the sleep-set reduction (verdicts must match with the reduction off),
-/// the SC-vs-TSO divergence on the Dekker litmus, golden-diffed
-/// counterexample rendering for the seeded blind-store FLC release race,
-/// and the tier-1 bounded-exhaustive run of all three shipped protocol
-/// models — the regression gate ISSUE PR 10 asks for.
+/// substrate (state identity/hash, TSO and RA store-buffer machines),
+/// soundness of the sleep-set reduction (verdicts must match with the
+/// reduction off), the SC-vs-TSO divergence on the Dekker litmus, the
+/// TSO-vs-RA divergence on the two-lock SOLERO store-buffering model,
+/// golden-diffed counterexample rendering for the seeded blind-store FLC
+/// release race, and the tier-1 bounded-exhaustive run of the shipped
+/// protocol models.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,19 +77,68 @@ TEST(Mach, TsoBuffersForwardAndFlushFifo) {
 
   // Fences and RMWs are blocked until scheduler flushes drain the FIFO.
   EXPECT_FALSE(M.fence());
-  EXPECT_FALSE(M.rmwReady());
+  EXPECT_FALSE(M.rmwReady(0));
   EXPECT_TRUE(applyFlush(S, 0));
   EXPECT_EQ(S.Mem[0], 1); // oldest first
   EXPECT_TRUE(applyFlush(S, 0));
   EXPECT_EQ(S.Mem[0], 2);
   EXPECT_FALSE(applyFlush(S, 0)); // drained
   EXPECT_TRUE(M.fence());
-  EXPECT_TRUE(M.rmwReady());
+  EXPECT_TRUE(M.rmwReady(0));
 
   // A full buffer disables further stores (store returns false).
   for (unsigned I = 0; I < McMaxBuf; ++I)
     EXPECT_TRUE(M.store(1, static_cast<uint8_t>(I)));
   EXPECT_FALSE(M.store(1, 99));
+}
+
+TEST(Mach, TsoSeqCstStoreDrainsFirstAndBypassesTheBuffer) {
+  McState S;
+  S.clear();
+  Mach M(S, 0, MemSemantics::TSO);
+  EXPECT_TRUE(M.store(0, 1));
+  EXPECT_FALSE(M.store(1, 5, McOrder::SeqCst)); // XCHG waits for the drain
+  EXPECT_TRUE(applyFlush(S, 0));
+  EXPECT_TRUE(M.store(1, 5, McOrder::SeqCst));
+  EXPECT_EQ(S.Mem[1], 5);
+  EXPECT_EQ(S.BufLen[0], 0u);
+}
+
+TEST(Mach, RaBuffersRmwWritesAndReservesTheirVariable) {
+  McState S;
+  S.clear();
+  Mach M(S, /*Tid=*/0, MemSemantics::RA);
+  Mach Other(S, /*Tid=*/1, MemSemantics::RA);
+
+  // A release/acquire CAS neither needs nor causes a drain: its write is
+  // buffered behind the thread's earlier store, forwarded to its own
+  // loads and invisible to everyone else's.
+  EXPECT_TRUE(M.store(2, 7));
+  ASSERT_TRUE(M.rmwReady(0));
+  EXPECT_TRUE(M.cas(0, 0, 5));
+  EXPECT_EQ(M.load(0), 5);
+  EXPECT_EQ(Other.load(0), 0);
+  EXPECT_EQ(S.Mem[0], 0);
+
+  // The pending write reserves variable 0: the other thread may neither
+  // CAS nor store it until the flush, so the CAS stays atomic.
+  EXPECT_FALSE(Other.rmwReady(0));
+  EXPECT_FALSE(Other.store(0, 9));
+  EXPECT_TRUE(Other.rmwReady(3));
+
+  // seq_cst operations drain first, then write memory directly.
+  EXPECT_FALSE(M.rmwReady(3, McOrder::SeqCst));
+  EXPECT_FALSE(M.store(3, 1, McOrder::SeqCst));
+  EXPECT_FALSE(M.fence());
+  EXPECT_TRUE(applyFlush(S, 0));
+  EXPECT_TRUE(applyFlush(S, 0));
+  EXPECT_EQ(S.Mem[0], 5);
+  EXPECT_TRUE(Other.rmwReady(0));
+  EXPECT_TRUE(M.store(3, 1, McOrder::SeqCst));
+  EXPECT_EQ(S.Mem[3], 1);
+  EXPECT_TRUE(M.cas(0, 5, 6, McOrder::SeqCst));
+  EXPECT_EQ(S.Mem[0], 6);
+  EXPECT_EQ(S.BufLen[0], 0u);
 }
 
 TEST(Mach, ScStoresAreImmediate) {
@@ -125,12 +175,18 @@ std::vector<NamedModel> equivalenceMatrix() {
   Ms.push_back({"bravo", makeBravoModel({})});
   Ms.push_back({"bravo/no-fence", makeBravoModel({2, true})});
   Ms.push_back({"solero/blind", makeSoleroModel({2, true, true})});
+  Ms.push_back({"solero-sb", makeSoleroSbModel({})});
+  Ms.push_back({"solero-sb/entry-fence",
+                makeSoleroSbModel({SoleroSbVariant::EntryFence})});
+  Ms.push_back({"solero-sb/plain-release",
+                makeSoleroSbModel({SoleroSbVariant::PlainRelease})});
   return Ms;
 }
 
 TEST(SleepSets, VerdictsMatchUnreducedExploration) {
   for (const NamedModel &NM : equivalenceMatrix()) {
-    for (MemSemantics Mem : {MemSemantics::SC, MemSemantics::TSO}) {
+    for (MemSemantics Mem :
+         {MemSemantics::SC, MemSemantics::TSO, MemSemantics::RA}) {
       CheckResult Por = checkModel(*NM.M, config(Mem, true));
       CheckResult Full = checkModel(*NM.M, config(Mem, false));
       EXPECT_EQ(Por.V, Full.V)
@@ -201,7 +257,7 @@ TEST(SoleroModel, BlindStoreReleaseGoldenTrace) {
       "  step 11  T2 enter.load     | word=07 x=1 y=1 sig=0 pc=6,12,9\n"
       "  step 12  T2 flc.load       | word=07 x=1 y=1 sig=0 pc=6,12,11\n"
       "  step 13  T2 park.arm       | word=07 x=1 y=1 sig=0 pc=6,12,12\n"
-      "  step 14  T0 rel.blind-store | word=10 x=1 y=1 sig=0 pc=19,12,12\n";
+      "  step 14  T0 rel.blind-store | word=10 x=1 y=1 sig=0 pc=18,12,12\n";
   EXPECT_EQ(renderTrace(*M, C, R), Expected);
 
   // The shipped release CAS closes the race: exhaustive pass both ways.
@@ -226,7 +282,49 @@ TEST(BravoModel, RevocationFenceRemovalFailsOnlyUnderTso) {
 }
 
 //===----------------------------------------------------------------------===//
-// Tier-1 bounded-exhaustive run of the three shipped protocol models.
+// Two-lock store buffering: what the seq_cst releases are for.
+//===----------------------------------------------------------------------===//
+
+TEST(SoleroSbModel, PlainReleaseFailsOnlyWhereRmwsDoNotDrain) {
+  auto Bad = makeSoleroSbModel({SoleroSbVariant::PlainRelease});
+  // On SC and x86-TSO every acquisition is a locked RMW, so a holder is
+  // visible before its later loads: no fence or seq_cst release needed.
+  EXPECT_EQ(checkModel(*Bad, config(MemSemantics::SC)).V, Verdict::Pass);
+  EXPECT_EQ(checkModel(*Bad, config(MemSemantics::TSO)).V, Verdict::Pass);
+
+  CheckConfig C = config(MemSemantics::RA);
+  CheckResult R = checkModel(*Bad, C);
+  ASSERT_EQ(R.V, Verdict::Violation);
+  EXPECT_NE(std::string(R.ViolationKind).find("store buffering"),
+            std::string::npos);
+  // Shortest witness: each thread runs its whole program while its
+  // acquiring CAS, data store and release wait in its own buffer — 8
+  // actions each, no flush. The last state shows both releases (the
+  // free word 0x10 on lock 0 and on lock 1) still buffered.
+  EXPECT_EQ(R.Trace.size(), 16u);
+  for (const TraceStep &T : R.Trace)
+    EXPECT_FALSE(T.Flush);
+  std::string Rendered = renderTrace(*Bad, C, R);
+  std::string Last = Rendered.substr(Rendered.rfind("step 16"));
+  EXPECT_NE(Last.find("buf=0:05,2:01,0:10|1:09,3:01,1:10|-"),
+            std::string::npos)
+      << Last;
+}
+
+TEST(SoleroSbModel, ShippedAndEntryFencePassEverywhere) {
+  auto Shipped = makeSoleroSbModel({SoleroSbVariant::Shipped});
+  auto Fenced = makeSoleroSbModel({SoleroSbVariant::EntryFence});
+  for (MemSemantics Mem :
+       {MemSemantics::SC, MemSemantics::TSO, MemSemantics::RA}) {
+    EXPECT_EQ(checkModel(*Shipped, config(Mem)).V, Verdict::Pass)
+        << memSemanticsName(Mem);
+    EXPECT_EQ(checkModel(*Fenced, config(Mem)).V, Verdict::Pass)
+        << memSemanticsName(Mem);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Tier-1 bounded-exhaustive run of the shipped protocol models.
 //===----------------------------------------------------------------------===//
 
 TEST(ShippedProtocols, ExhaustivelyPassUnderScAndTso) {
@@ -237,6 +335,7 @@ TEST(ShippedProtocols, ExhaustivelyPassUnderScAndTso) {
   };
   std::vector<Row> Rows;
   Rows.push_back({"solero", makeSoleroModel({}), 100000});
+  Rows.push_back({"solero-sb", makeSoleroSbModel({}), 3000});
   Rows.push_back({"tasuki", makeTasukiModel({}), 500});
   Rows.push_back({"bravo", makeBravoModel({}), 1500});
   for (const Row &R : Rows) {
@@ -255,7 +354,7 @@ TEST(ShippedProtocols, ExhaustivelyPassUnderScAndTso) {
 TEST(Checker, DepthBoundReportsIncompleteNotPass) {
   auto M = makeSoleroModel({});
   CheckConfig C = config(MemSemantics::SC);
-  C.DepthBound = 8; // far below the ~39 the full exploration needs
+  C.DepthBound = 8; // far below the ~38 the full exploration needs
   EXPECT_EQ(checkModel(*M, C).V, Verdict::Incomplete);
 }
 

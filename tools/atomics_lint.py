@@ -18,7 +18,16 @@ argument list even when it spans lines, and checks that a
 arguments. compare_exchange calls must name *two* orders (success and
 failure) — the single-order overload derives the failure order silently.
 
-A second check guards per-thread state: an array declared with a
+A second check pins the SOLERO release ordering (DESIGN.md §8). The read
+fast path has no StoreLoad fence; a write section on one lock followed by
+an elided read on another stays sequentially consistent only because the
+entry load and every release of a hold are seq_cst. So in the release
+directories a lock-word store (`word().store(`) or a release CAS (a
+`compare_exchange_*` whose success order is release) must name
+`memory_order_seq_cst`, or carry an annotation saying why the store is
+not a release.
+
+A third check guards per-thread state: an array declared with a
 `[ThreadRegistry::MaxThreads]` or `[MaxThreads]` bound is a dense
 slot-indexed table, whose owner-written cells share cache lines between
 16 threads (the false sharing that once cost BRAVO its read scaling).
@@ -41,7 +50,8 @@ import re
 import sys
 from pathlib import Path
 
-AUDITED_DIRS = ["src/core", "src/locks", "src/resilience"]
+AUDITED_DIRS = ["src/core", "src/locks", "src/resilience", "src/runtime"]
+RELEASE_DIRS = ["src/core", "src/runtime"]
 PER_THREAD_DIRS = ["src"]
 SUFFIXES = {".h", ".cpp"}
 
@@ -55,6 +65,9 @@ CALL_HEAD = re.compile(
     re.VERBOSE,
 )
 ORDER_TOKEN = re.compile(r"\bmemory_order(?:_\w+|\s*::\s*\w+)\b")
+WORD_STORE = re.compile(r"\bword\s*\(\s*\)\s*\.\s*store\s*\(\Z")
+SEQ_CST = re.compile(r"\bmemory_order(?:_seq_cst|\s*::\s*seq_cst)\b")
+RELEASE_ORDER = re.compile(r"\bmemory_order(?:_release|\s*::\s*release)\b")
 ALLOW = re.compile(r"atomics-lint:\s*allow\(")
 VOLATILE = re.compile(r"\bvolatile\b")
 PER_THREAD_ARRAY = re.compile(
@@ -160,6 +173,40 @@ def lint_text(text, path="<memory>"):
     return findings
 
 
+def lint_release_orders(text, path="<memory>"):
+    findings = []
+    code = strip_noncode(text)
+    lines = code.splitlines()
+    for m in CALL_HEAD.finditer(code):
+        callee = m.group("member")
+        if callee is None:
+            continue
+        args = balanced_args(code, m.end() - 1)
+        if args is None:
+            continue  # lint_text reports the unbalanced call
+        orders = ORDER_TOKEN.findall(args)
+        if callee == "store":
+            head = code[max(0, m.start() - 80) : m.end()]
+            if not WORD_STORE.search(head):
+                continue
+            what = "lock-word store"
+        elif callee.startswith("compare_exchange"):
+            if not orders or not RELEASE_ORDER.match(orders[0]):
+                continue
+            what = "release CAS"
+        else:
+            continue
+        lineno = line_of(code, m.start())
+        if any(SEQ_CST.match(o) for o in orders[:1]) or allowed(lines, lineno):
+            continue
+        findings.append(
+            (path, lineno,
+             f"{what}: a SOLERO release must be memory_order_seq_cst (it "
+             "pairs with the seq_cst entry load, DESIGN.md §8); annotate "
+             "// atomics-lint: allow(<reason>) if it releases nothing"))
+    return findings
+
+
 def lint_per_thread_arrays(text, path="<memory>"):
     findings = []
     code = strip_noncode(text)
@@ -185,6 +232,9 @@ def self_test():
                                     std::memory_order_acq_rel)) {}
         std::atomic_thread_fence();
         volatile int X = 0;
+        H.word().store(V1 + CounterUnit, std::memory_order_release);
+        if (H.word().compare_exchange_strong(W, V, std::memory_order_release,
+                                             std::memory_order_relaxed)) {}
         Holds(new uint32_t[ThreadRegistry::MaxThreads]()),
         Cells(new OpCell[ MaxThreads ]);
         uint64_t Table[ThreadRegistry :: MaxThreads];
@@ -200,6 +250,15 @@ def self_test():
         // atomics-lint: allow(annotation on the preceding line)
         W.load();
         // comment: W.store(3); volatile — stripped, not a finding
+        H.word().store(V1 + CounterUnit, std::memory_order_seq_cst);
+        if (H.word().compare_exchange_strong(W, V, std::memory_order_seq_cst,
+                                             std::memory_order_relaxed)) {}
+        if (H.word().compare_exchange_strong(V, Held, std::memory_order_acq_rel,
+                                             std::memory_order_relaxed)) {}
+        // atomics-lint: allow(held-state hand-off, not a release)
+        H.word().store(inflatedWord(), std::memory_order_release);
+        Flag.store(1, std::memory_order_release); H.word().load(
+            std::memory_order_seq_cst);
         PerThreadSlots<OpCell> Ops;
         Groups(new Group[Partitions * ThreadRegistry::MaxThreads]);
         for (uint32_t S = 0; S < ThreadRegistry::MaxThreads; ++S) {}
@@ -209,14 +268,15 @@ def self_test():
         Cells(new CacheLinePadded<T>[ThreadRegistry::MaxThreads]);
     """
 
-    def both(text, path):
-        return lint_text(text, path) + lint_per_thread_arrays(text, path)
+    def every(text, path):
+        return (lint_text(text, path) + lint_release_orders(text, path) +
+                lint_per_thread_arrays(text, path))
 
-    bad_found = both(bad, "bad")
-    good_found = both(good, "good")
-    ok = len(bad_found) == 10 and not good_found
+    bad_found = every(bad, "bad")
+    good_found = every(good, "good")
+    ok = len(bad_found) == 12 and not good_found
     if not ok:
-        print(f"self-test FAILED: bad={len(bad_found)} (want 10), "
+        print(f"self-test FAILED: bad={len(bad_found)} (want 12), "
               f"good={len(good_found)} (want 0)")
         for f in bad_found + good_found:
             print("  %s:%d: %s" % f)
@@ -238,11 +298,11 @@ def main(argv):
             return 2
         else:
             dirs.append(arg)
-    # Explicit directories get both checks; by default each check covers
+    # Explicit directories get every check; by default each check covers
     # its own set.
-    passes = ([(dirs, lint_text), (dirs, lint_per_thread_arrays)] if dirs
-              else [(AUDITED_DIRS, lint_text),
-                    (PER_THREAD_DIRS, lint_per_thread_arrays)])
+    checks = [(AUDITED_DIRS, lint_text), (RELEASE_DIRS, lint_release_orders),
+              (PER_THREAD_DIRS, lint_per_thread_arrays)]
+    passes = [(dirs or d, check) for d, check in checks]
 
     findings = []
     scanned = set()
