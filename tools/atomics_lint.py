@@ -185,19 +185,19 @@ def lint_release_orders(text, path="<memory>"):
         if args is None:
             continue  # lint_text reports the unbalanced call
         orders = ORDER_TOKEN.findall(args)
-        if callee == "store":
-            head = code[max(0, m.start() - 80) : m.end()]
-            if not WORD_STORE.search(head):
+        first = orders[0] if orders else ""
+        head = code[max(0, m.start() - 80) : m.end()]
+        if callee == "store" and WORD_STORE.search(head):
+            if SEQ_CST.match(first):
                 continue
             what = "lock-word store"
-        elif callee.startswith("compare_exchange"):
-            if not orders or not RELEASE_ORDER.match(orders[0]):
-                continue
+        elif (callee.startswith("compare_exchange") and
+              RELEASE_ORDER.match(first)):
             what = "release CAS"
         else:
             continue
         lineno = line_of(code, m.start())
-        if any(SEQ_CST.match(o) for o in orders[:1]) or allowed(lines, lineno):
+        if allowed(lines, lineno):
             continue
         findings.append(
             (path, lineno,
